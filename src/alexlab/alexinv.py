@@ -16,7 +16,7 @@ from itertools import combinations
 from . import laurent
 from .errors import DomainError
 from .fpgroup import FoxMatrix
-from .laurent import CycloElement, LaurentPoly
+from .laurent import LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,9 @@ class CvReport:
     """dim H_1 with coefficients twisted by the character, plus membership
     flags for the jump loci V_k, k = 1..len(memberships).
 
-    The dimension comes from a rank computation over the cyclotomic field;
-    each membership flag is recomputed independently from the vanishing of
-    the corresponding elementary-ideal minors, so the two must agree."""
+    The dimension comes from a rank computation over the cyclotomic field.
+    Each membership flag is read off as dim >= k, which is exact: all
+    (s-k)-minors of the evaluated matrix vanish iff its rank is below s-k."""
 
     dim: int
     memberships: tuple[bool, ...]
@@ -88,10 +88,12 @@ def _minor_det(entries, rows, cols) -> LaurentPoly:
 
 
 def order_k(F: FoxMatrix, k: int) -> LaurentPoly:
-    """gcd of all (s-k) x (s-k) minors of the Fox matrix, canonical.
+    """gcd of all (s-k) x (s-k) minors of the Fox matrix.
 
-    Size <= 0 gives 1; an empty minor set gives 0.  Minors are enumerated in
-    lexicographic order and the gcd accumulates with early exit at a unit.
+    The result is canonical (see `LaurentPoly.canonical`), so callers need
+    not normalize it again.  Size <= 0 gives 1; an empty minor set gives 0.
+    Minors are enumerated in lexicographic order and the gcd accumulates
+    with early exit at a unit.
     """
     if k < 0:
         raise DomainError("k must be nonnegative")
@@ -163,7 +165,8 @@ def _poly_matrix_rank(m) -> int:
 
 
 def first_order(F: FoxMatrix) -> tuple[int, LaurentPoly]:
-    """k0 = s - rank over the fraction field, and Delta^{k0} (nonzero)."""
+    """k0 = s - rank over the fraction field, and Delta^{k0} (nonzero and
+    canonical, as `order_k` returns it)."""
     k0 = F.cols - rank_over_fractions(F)
     return k0, order_k(F, k0)
 
@@ -217,55 +220,18 @@ def _cyclo_rank(m) -> int:
     return r
 
 
-def _cyclo_minor_det(entries, rows, cols) -> CycloElement:
-    order = entries[0][0].order
-
-    def det(rs, cs):
-        if len(rs) == 1:
-            return entries[rs[0]][cs[0]]
-        total = CycloElement.from_int(order, 0)
-        sign = 1
-        for i, c in enumerate(cs):
-            e = entries[rs[0]][c]
-            if not e.is_zero():
-                term = e * det(rs[1:], cs[:i] + cs[i + 1 :])
-                total = total + (term if sign > 0 else -term)
-            sign = -sign
-        return total
-
-    return det(tuple(rows), tuple(cols))
-
-
-def _all_minors_vanish(entries, nrows, ncols, size) -> bool:
-    if size <= 0:
-        return False  # the empty minor is 1
-    if size > nrows or size > ncols:
-        return True
-    for rows in combinations(range(nrows), size):
-        for cols in combinations(range(ncols), size):
-            if not _cyclo_minor_det(entries, rows, cols).is_zero():
-                return False
-    return True
-
-
 def cv_dim(F: FoxMatrix, rho: CharacterPoint, kmax: int | None = None) -> CvReport:
     """dim H_1(X; C_rho) and the jump-locus memberships at rho.
 
     For a nontrivial character, dim = s - 1 - rank of the evaluated Fox
-    matrix over the cyclotomic field; membership in V_k is decided
-    separately by the vanishing of all (s-k)-minors of the evaluated
-    matrix.  The trivial character gives dim = b1 directly.
+    matrix over the cyclotomic field; the trivial character gives dim = b1
+    directly.  Membership in V_k is read off as dim >= k: all (s-k)-minors
+    of the evaluated matrix vanish exactly when its rank is below s - k,
+    that is, when s - 1 - rank >= k.
     """
-    s = F.cols
     if rho.is_trivial():
         dim = F.abelianization.b1
-        top = kmax if kmax is not None else dim
-        return CvReport(dim, tuple(dim >= k for k in range(1, top + 1)))
-    ev = _evaluate_matrix(F, rho)
-    rank = _cyclo_rank(ev)
-    dim = s - 1 - rank
+    else:
+        dim = F.cols - 1 - _cyclo_rank(_evaluate_matrix(F, rho))
     top = kmax if kmax is not None else max(dim, 0)
-    memberships = tuple(
-        _all_minors_vanish(ev, F.rows, s, s - k) for k in range(1, top + 1)
-    )
-    return CvReport(dim, memberships)
+    return CvReport(dim, tuple(dim >= k for k in range(1, top + 1)))

@@ -91,8 +91,8 @@ def _emit(doc: dict, human: str, machine: bool) -> str:
     return human
 
 
-def _poly_doc(p: laurent.LaurentPoly) -> dict:
-    return p.to_doc()
+def _first_order(p: fpgroup.GroupPresentation):
+    return alexinv.first_order(fpgroup.fox_matrix(p))
 
 
 def _report_doc(r: obstruct.ObstructionReport) -> dict:
@@ -107,10 +107,10 @@ def _report_doc(r: obstruct.ObstructionReport) -> dict:
         "per_k": [
             {
                 "k": f.k,
-                "delta": _poly_doc(f.delta),
+                "delta": f.delta.to_doc(),
                 "newton_dim": f.newton_dim,
                 "cyclotomic": f.cyclotomic,
-                "remainder": None if f.remainder is None else _poly_doc(f.remainder),
+                "remainder": None if f.remainder is None else f.remainder.to_doc(),
             }
             for f in r.per_k
         ],
@@ -155,50 +155,43 @@ def _cmd_abelianize(args) -> str:
 
 
 def _cmd_delta(args) -> str:
-    p = _load_presentation(args.file)
-    F = fpgroup.fox_matrix(p)
-    d = alexinv.order_k(F, args.k).canonical()
+    F = fpgroup.fox_matrix(_load_presentation(args.file))
+    d = alexinv.order_k(F, args.k)
     doc = {
         "command": "delta",
         "file": args.file,
         "k": args.k,
-        "result": {"delta": _poly_doc(d), "text": d.text()},
+        "result": {"delta": d.to_doc(), "text": d.text()},
     }
     return _emit(doc, d.text() + "\n", args.machine)
 
 
 def _cmd_thickness(args) -> str:
-    p = _load_presentation(args.file)
-    F = fpgroup.fox_matrix(p)
-    k0, delta = alexinv.first_order(F)
+    k0, delta = _first_order(_load_presentation(args.file))
     th = laurent.newton_dim(delta)
     doc = {
         "command": "thickness",
         "file": args.file,
-        "result": {"k0": k0, "delta": _poly_doc(delta.canonical()), "thickness": th},
+        "result": {"k0": k0, "delta": delta.to_doc(), "thickness": th},
     }
     return _emit(doc, "%d\n" % th, args.machine)
 
 
 def _cmd_norm(args) -> str:
-    p = _load_presentation(args.file)
-    F = fpgroup.fox_matrix(p)
-    _, delta = alexinv.first_order(F)
+    _, delta = _first_order(_load_presentation(args.file))
     phi = norms.CohomologyClass.of(_csv_ints(args.phi))
     value = norms.alexander_norm(delta, phi)
     doc = {
         "command": "norm",
         "file": args.file,
         "phi": list(phi.phi),
-        "result": {"alexander_norm": value, "delta": _poly_doc(delta.canonical())},
+        "result": {"alexander_norm": value, "delta": delta.to_doc()},
     }
     return _emit(doc, "%d\n" % value, args.machine)
 
 
 def _cmd_ball(args) -> str:
-    p = _load_presentation(args.file)
-    F = fpgroup.fox_matrix(p)
-    _, delta = alexinv.first_order(F)
+    _, delta = _first_order(_load_presentation(args.file))
     if delta.is_zero():
         raise DomainError("first order polynomial is zero; no support polytope")
     ball = norms.support_polytope(delta)
@@ -265,7 +258,7 @@ def _cmd_sum(args) -> str:
                 {
                     "b1": f.b1,
                     "k0": f.k0,
-                    "delta": _poly_doc(f.delta),
+                    "delta": f.delta.to_doc(),
                     "thickness": f.thickness,
                 }
                 for f in rep.factors
@@ -274,7 +267,7 @@ def _cmd_sum(args) -> str:
                 "presentation": fpgroup.serialize_presentation(rep.product),
                 "b1": rep.product_b1,
                 "k0": rep.product_k0,
-                "delta": _poly_doc(rep.product_delta),
+                "delta": rep.product_delta.to_doc(),
                 "thickness": rep.product_thickness,
             },
             "thickness_additive": rep.thickness_additive,
@@ -350,15 +343,14 @@ def _cmd_build(args) -> str:
 def _cmd_mcmullen(args) -> str:
     p = _load_presentation(args.file)
     data = norms.parse_thurston_data(_read_file(args.data))
-    F = fpgroup.fox_matrix(p)
-    _, delta = alexinv.first_order(F)
+    _, delta = _first_order(p)
     rep = norms.mcmullen_check(delta, data)
     doc = {
         "command": "mcmullen",
         "file": args.file,
         "data": args.data,
         "result": {
-            "delta": _poly_doc(delta.canonical()),
+            "delta": delta.to_doc(),
             "entries": [
                 {
                     "phi": list(e.datum.phi.phi),

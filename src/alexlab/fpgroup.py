@@ -35,11 +35,9 @@ class Word:
                     out.pop()
             else:
                 out.append([g, e])
-        # A cancellation can expose a new adjacent pair; re-run until stable.
-        flat = [(g, e) for g, e in out]
-        if any(flat[i][0] == flat[i + 1][0] for i in range(len(flat) - 1)):
-            return cls.from_pairs(flat)
-        return cls(tuple(flat))
+        # out is a stack whose neighbours always differ in generator, so a
+        # cancellation at the top exposes no new adjacent pair.
+        return cls(tuple((g, e) for g, e in out))
 
     def is_empty(self) -> bool:
         return not self.syllables

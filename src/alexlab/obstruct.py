@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import alexinv, exactla, laurent
 from .errors import DomainError
-from .fpgroup import GroupPresentation, fox_matrix, free_product_many
+from .fpgroup import FoxMatrix, GroupPresentation, fox_matrix, free_product_many
 from .laurent import LaurentPoly
 
 DEFAULT_KMAX = 3
@@ -43,27 +43,32 @@ class ObstructionReport:
     witnesses: tuple[str, ...]
 
 
-def _order_data(p: GroupPresentation, kmax: int):
-    F = fox_matrix(p)
-    seq = alexinv.order_sequence(F, kmax)
+def _check_kmax(kmax: int):
+    if kmax < 0:
+        raise DomainError("kmax must be nonnegative")
+
+
+def _order_data(F: FoxMatrix, kmax: int):
+    """k0, the orders Delta^k for k0 <= k <= max(k0, kmax) (Delta^{k0} is
+    always first), and the thickness, i.e. the Newton dimension of
+    Delta^{k0}."""
     k0, delta0 = alexinv.first_order(F)
-    th = laurent.newton_dim(delta0)
-    return F, seq, k0, th
+    deltas = (delta0,) + tuple(alexinv.order_k(F, k) for k in range(k0 + 1, kmax + 1))
+    return k0, deltas, laurent.newton_dim(delta0)
 
 
 def kahler_test(p: GroupPresentation, kmax: int = DEFAULT_KMAX) -> ObstructionReport:
     """A Kahler group has even b1 and constant order polynomials, hence
     thickness 0.  Any failure is an obstruction witness."""
-    if kmax < 0:
-        raise DomainError("kmax must be nonnegative")
-    F, seq, k0, th = _order_data(p, kmax)
+    _check_kmax(kmax)
+    F = fox_matrix(p)
+    k0, deltas, th = _order_data(F, kmax)
     b1 = F.abelianization.b1
     witnesses = []
     if b1 % 2 == 1:
         witnesses.append("b1 = %d is odd" % b1)
     per_k = []
-    for k in range(k0, kmax + 1):
-        delta = seq.orders[k].canonical()
+    for k, delta in zip(range(k0, kmax + 1), deltas):
         nd = None if delta.is_zero() else laurent.newton_dim(delta)
         per_k.append(PerKFinding(k, delta, nd, "n/a", None))
         if nd is not None and nd > 0:
@@ -79,14 +84,15 @@ def qp_test(p: GroupPresentation, kmax: int = DEFAULT_KMAX) -> ObstructionReport
     Newton polytope is a point or a segment, carried by a cyclotomic-product
     univariate polynomial.  b1 = 2 is outside the test's hypothesis and
     reports INCONCLUSIVE."""
-    if kmax < 0:
-        raise DomainError("kmax must be nonnegative")
-    F, seq, k0, th = _order_data(p, kmax)
-    b1 = F.abelianization.b1
+    _check_kmax(kmax)
+    F = fox_matrix(p)
+    return _qp_report(F.abelianization.b1, kmax, *_order_data(F, kmax))
+
+
+def _qp_report(b1: int, kmax: int, k0: int, deltas, th: int) -> ObstructionReport:
     witnesses = []
     per_k = []
-    for k in range(k0, kmax + 1):
-        delta = seq.orders[k].canonical()
+    for k, delta in zip(range(k0, kmax + 1), deltas):
         if delta.is_zero():
             per_k.append(PerKFinding(k, delta, None, "n/a", None))
             continue
@@ -154,15 +160,15 @@ def connected_sum_report(ps, kmax: int = DEFAULT_KMAX) -> ConnectedSumReport:
     """Free product of the given presentations: factor and product first
     orders and thicknesses, the additivity and divisibility checks, and the
     quasi-projectivity test of the product."""
+    _check_kmax(kmax)
     ps = list(ps)
     if len(ps) < 2:
         raise DomainError("connected sum needs at least two presentations")
     product = free_product_many(ps)
     prod_F = fox_matrix(product)
     prod_ab = prod_F.abelianization
-    prod_k0, prod_delta = alexinv.first_order(prod_F)
-    prod_delta = prod_delta.canonical()
-    prod_th = laurent.newton_dim(prod_delta)
+    prod_k0, prod_deltas, prod_th = _order_data(prod_F, kmax)
+    prod_delta = prod_deltas[0]
 
     factors = []
     embedded = LaurentPoly.one(prod_ab.b1)
@@ -171,7 +177,6 @@ def connected_sum_report(ps, kmax: int = DEFAULT_KMAX) -> ConnectedSumReport:
         F = fox_matrix(p)
         ab = F.abelianization
         k0, delta = alexinv.first_order(F)
-        delta = delta.canonical()
         th = laurent.newton_dim(delta)
         factors.append(FactorSummary(ab.b1, k0, delta, th))
         g = len(p.generators)
@@ -186,7 +191,7 @@ def connected_sum_report(ps, kmax: int = DEFAULT_KMAX) -> ConnectedSumReport:
 
     additive = prod_th == sum(f.thickness for f in factors)
     divisible = laurent.divides(embedded.canonical(), prod_delta)
-    qp = qp_test(product, kmax)
+    qp = _qp_report(prod_ab.b1, kmax, prod_k0, prod_deltas, prod_th)
     return ConnectedSumReport(
         tuple(factors),
         product,

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -14,7 +15,7 @@ from alexlab.alexinv import (
 )
 from alexlab.errors import DomainError
 from alexlab.fpgroup import GroupPresentation, Word, fox_matrix
-from alexlab.laurent import LaurentPoly
+from alexlab.laurent import CycloElement, LaurentPoly
 
 from corpus import ALL, FIG8, KLEIN, SOL3, TREFOIL, ZZ
 
@@ -152,9 +153,42 @@ def test_hironaka_consistency_trefoil_klein():
         assert mismatches == 0, entry.name
 
 
+def _cyclo_minor_det(entries, rows, cols) -> CycloElement:
+    """Laplace expansion along the first row, over the cyclotomic field."""
+    order = entries[0][0].order
+
+    def det(rs, cs):
+        if len(rs) == 1:
+            return entries[rs[0]][cs[0]]
+        total = CycloElement.from_int(order, 0)
+        sign = 1
+        for i, c in enumerate(cs):
+            e = entries[rs[0]][c]
+            if not e.is_zero():
+                term = e * det(rs[1:], cs[:i] + cs[i + 1 :])
+                total = total + (term if sign > 0 else -term)
+            sign = -sign
+        return total
+
+    return det(tuple(rows), tuple(cols))
+
+
+def _all_minors_vanish(entries, nrows, ncols, size) -> bool:
+    if size <= 0:
+        return False  # the empty minor is 1
+    if size > nrows or size > ncols:
+        return True
+    for rows in combinations(range(nrows), size):
+        for cols in combinations(range(ncols), size):
+            if not _cyclo_minor_det(entries, rows, cols).is_zero():
+                return False
+    return True
+
+
 def test_membership_flags_match_rank_route():
-    # memberships come from minor vanishing (the elementary ideals E_k);
-    # dim comes from a rank computation over the cyclotomic field: the two
+    # cv_dim reads memberships off dim >= k, with dim from a rank computation
+    # over the cyclotomic field; the reference here decides V_k from the
+    # vanishing of all (s-k)-minors (the elementary ideals E_k).  The two
     # independent routes must agree, monotonically, across the corpus.
     for entry in ALL:
         if entry.b1 == 0:
@@ -162,8 +196,13 @@ def test_membership_flags_match_rank_route():
         F = fox_matrix(entry.presentation)
         for rho in _nontrivial_characters(entry.b1, 6)[:15]:
             rep = cv_dim(F, rho, kmax=3)
+            ev = alexinv._evaluate_matrix(F, rho)
             for k, flag in enumerate(rep.memberships, start=1):
-                assert flag == (rep.dim >= k), (entry.name, rho)
+                assert flag == _all_minors_vanish(ev, F.rows, F.cols, F.cols - k), (
+                    entry.name,
+                    rho,
+                    k,
+                )
             for a, b in zip(rep.memberships, rep.memberships[1:]):
                 assert a or not b  # monotone decreasing
 

@@ -161,6 +161,9 @@ def test_sum_cli(capsys, tmp_path, sol_file):
     assert "product: b1 1, k0 1, delta 2*t^2 - 6*t + 2, thickness 1" in out
     assert "thickness additive: yes" in out
     assert "qp verdict: OBSTRUCTED" in out
+    code, out, err = run_cli(capsys, "sum", sol_file, str(rp3), "--kmax", "-1")
+    assert (code, out) == (3, "")
+    assert "kmax" in err
 
 
 def test_mcmullen_cli(capsys, tmp_path):

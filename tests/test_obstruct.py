@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from alexlab import alexinv
 from alexlab.errors import DomainError
 from alexlab.fpgroup import GroupPresentation, Word, free_product
 from alexlab.laurent import LaurentPoly
@@ -14,7 +15,7 @@ from alexlab.obstruct import (
     qp_test,
 )
 
-from corpus import ALL, FIG8, SOL3, SUM_PAIRS, TREFOIL, TRIVIAL, WHITEHEAD, Z2_CYCLIC, ZZ
+from corpus import ALL, F2, FIG8, SOL3, SUM_PAIRS, TREFOIL, TRIVIAL, WHITEHEAD, Z2_CYCLIC, ZZ
 
 T = LaurentPoly.variable(1, 0)
 ONE = LaurentPoly.one(1)
@@ -89,8 +90,18 @@ def test_qp_newton_dim_witness():
 
 def test_qp_zero_order_passes():
     # F3: Delta^k = 0 for k < 3 and Delta^3 = 1; nothing obstructs
-    rep = qp_test(GroupPresentation(("a", "b", "c"), ()), kmax=3)
+    f3 = GroupPresentation(("a", "b", "c"), ())
+    rep = qp_test(f3, kmax=3)
     assert rep.verdict == CONSISTENT
+    # k0 > kmax: no per-k findings, but k0 and the thickness still come
+    # from Delta^{k0}
+    for run in (qp_test, kahler_test):
+        rep = run(f3, kmax=1)
+        assert (rep.k0, rep.per_k, rep.thickness) == (3, (), 0), rep.test
+    rep = connected_sum_report([F2.presentation, F2.presentation], kmax=1)
+    assert rep.product_k0 == 4
+    assert rep.product_delta == LaurentPoly.one(4)
+    assert rep.qp.per_k == ()
 
 
 def _apply_generator_automorphism(p, perm, signs):
@@ -117,8 +128,48 @@ def test_qp_invariance_under_basis_change():
 
 
 def test_kmax_validation():
+    for run in (kahler_test, qp_test):
+        with pytest.raises(DomainError):
+            run(TREFOIL.presentation, kmax=-1)
     with pytest.raises(DomainError):
-        qp_test(TREFOIL.presentation, kmax=-1)
+        connected_sum_report([TREFOIL.presentation, FIG8.presentation], kmax=-1)
+
+
+def _count_calls(monkeypatch):
+    """Wrap the rank and order_k so each call records its matrix width and k."""
+    calls = {"rank": [], "order_k": []}
+    rank, order_k = alexinv.rank_over_fractions, alexinv.order_k
+
+    def counted_rank(F):
+        calls["rank"].append(F.cols)
+        return rank(F)
+
+    def counted_order_k(F, k):
+        calls["order_k"].append((F.cols, k))
+        return order_k(F, k)
+
+    monkeypatch.setattr(alexinv, "rank_over_fractions", counted_rank)
+    monkeypatch.setattr(alexinv, "order_k", counted_order_k)
+    return calls
+
+
+def test_order_data_computed_once_per_call(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    for entry in (TREFOIL, SOL3):
+        for run in (kahler_test, qp_test):
+            calls["rank"].clear()
+            calls["order_k"].clear()
+            run(entry.presentation)
+            assert len(calls["rank"]) == 1, (entry.name, run.__name__)
+            ks = calls["order_k"]
+            assert len(ks) == len(set(ks)), (entry.name, run.__name__, ks)
+
+
+def test_connected_sum_ranks_product_once(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    rep = connected_sum_report([TREFOIL.presentation, FIG8.presentation])
+    width = len(rep.product.generators)
+    assert calls["rank"].count(width) == 1
 
 
 def test_obstructed_reports_carry_witnesses():
