@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from . import laurent
+from . import exactla, laurent
 from .errors import DomainError
 from .fpgroup import FoxMatrix
-from .laurent import LaurentPoly
+from .laurent import CycloElement, LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,8 @@ class CvReport:
 # -- minors -------------------------------------------------------------------
 
 
+# Laplace, not `exactla.bareiss`: on the 1x1..4x4 minors `order_k` meets in
+# the survey benchmark it measured 3-4x faster (zeros skipped, no division).
 def _minor_det(entries, rows, cols) -> LaurentPoly:
     """Determinant of the submatrix by Laplace expansion along the first row."""
     nvars = entries[0][0].nvars if entries else 0
@@ -120,48 +122,21 @@ def order_k(F: FoxMatrix, k: int) -> LaurentPoly:
 # -- rank over the fraction field ----------------------------------------------
 
 
+def _exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
+    q = laurent.exact_div(p, d)
+    if q is None:  # fraction-free quotients are exact by construction
+        raise RuntimeError("inexact division during elimination")
+    return q
+
+
+def _poly_size(e: LaurentPoly):
+    return None if e.is_zero() else (e.total_degree_spread(), len(e.terms))
+
+
 def rank_over_fractions(F: FoxMatrix) -> int:
-    """Rank of the Fox matrix over the fraction field of Z[H], by exact
-    fraction-free (Bareiss) elimination with lowest-total-degree pivots."""
-    m = [list(row) for row in F.entries]
-    return _poly_matrix_rank(m)
-
-
-def _poly_matrix_rank(m) -> int:
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    nvars = m[0][0].nvars
-    prev = LaurentPoly.one(nvars)
-    r = 0
-    while r < nrows:
-        best = None
-        for i in range(r, nrows):
-            for j in range(r, ncols):
-                e = m[i][j]
-                if not e.is_zero():
-                    key = (e.total_degree_spread(), len(e.terms), i, j)
-                    if best is None or key < best[0]:
-                        best = (key, i, j)
-        if best is None:
-            break
-        _, pi, pj = best
-        m[r], m[pi] = m[pi], m[r]
-        if pj != r:
-            for row in m:
-                row[r], row[pj] = row[pj], row[r]
-        piv = m[r][r]
-        for i in range(r + 1, nrows):
-            for j in range(r + 1, ncols):
-                num = m[i][j] * piv - m[i][r] * m[r][j]
-                q = laurent.exact_div(num, prev)
-                if q is None:  # fraction-free quotients are exact by construction
-                    raise RuntimeError("inexact division during elimination")
-                m[i][j] = q
-            m[i][r] = LaurentPoly.zero(nvars)
-        prev = piv
-        r += 1
-    return r
+    """Rank of the Fox matrix over the fraction field of Z[H], by
+    `exactla.bareiss` with lowest-total-degree pivots."""
+    return exactla.bareiss([list(row) for row in F.entries], _exact_div, _poly_size)[0]
 
 
 def first_order(F: FoxMatrix) -> tuple[int, LaurentPoly]:
@@ -194,44 +169,27 @@ def _evaluate_matrix(F: FoxMatrix, rho: CharacterPoint):
     ]
 
 
-def _cyclo_rank(m) -> int:
-    if not m or not m[0]:
-        return 0
-    m = [row[:] for row in m]
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if not m[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c].inverse()
-        for i in range(r + 1, nrows):
-            if not m[i][c].is_zero():
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+def _cyclo_size(e: CycloElement):
+    return None if e.is_zero() else 0
 
 
 def cv_dim(F: FoxMatrix, rho: CharacterPoint, kmax: int | None = None) -> CvReport:
     """dim H_1(X; C_rho) and the jump-locus memberships at rho.
 
     For a nontrivial character, dim = s - 1 - rank of the evaluated Fox
-    matrix over the cyclotomic field; the trivial character gives dim = b1
-    directly.  Membership in V_k is read off as dim >= k: all (s-k)-minors
-    of the evaluated matrix vanish exactly when its rank is below s - k,
-    that is, when s - 1 - rank >= k.
+    matrix over the cyclotomic field, computed by `exactla.bareiss` (which
+    divides only from its second step on, so 1- and 2-row matrices invert
+    nothing); the trivial character gives dim = b1 directly.  Membership in
+    V_k is read off as dim >= k: all (s-k)-minors of the evaluated matrix
+    vanish exactly when its rank is below s - k, that is, when
+    s - 1 - rank >= k.
     """
+    if kmax is not None and kmax < 0:
+        raise DomainError("kmax must be nonnegative")
     if rho.is_trivial():
         dim = F.abelianization.b1
     else:
-        dim = F.cols - 1 - _cyclo_rank(_evaluate_matrix(F, rho))
+        ev = _evaluate_matrix(F, rho)
+        dim = F.cols - 1 - exactla.bareiss(ev, CycloElement.__truediv__, _cyclo_size)[0]
     top = kmax if kmax is not None else max(dim, 0)
     return CvReport(dim, tuple(dim >= k for k in range(1, top + 1)))

@@ -120,9 +120,7 @@ def _report_doc(r: obstruct.ObstructionReport) -> dict:
 def _report_human(r: obstruct.ObstructionReport) -> str:
     lines = ["verdict: %s" % r.verdict, "b1: %d" % r.b1, "thickness: %d" % r.thickness]
     for f in r.per_k:
-        extra = ""
-        if f.newton_dim is not None:
-            extra += "; newton dim %d" % f.newton_dim
+        extra = "; newton dim %d" % f.newton_dim
         if f.cyclotomic != "n/a":
             extra += "; cyclotomic %s" % f.cyclotomic
         lines.append("Delta^%d = %s%s" % (f.k, f.delta.text(), extra))
@@ -192,8 +190,6 @@ def _cmd_norm(args) -> str:
 
 def _cmd_ball(args) -> str:
     _, delta = _first_order(_load_presentation(args.file))
-    if delta.is_zero():
-        raise DomainError("first order polynomial is zero; no support polytope")
     ball = norms.support_polytope(delta)
     doc = {
         "command": "ball",

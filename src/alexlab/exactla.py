@@ -1,14 +1,19 @@
-"""Exact integer linear algebra: Smith normal form, kernels, Hermite form,
-lattice saturation and integer rank.
+"""Exact linear algebra: Smith normal form, kernels, Hermite form, lattice
+saturation, and `bareiss`, the one fraction-free elimination behind every
+rank and determinant in the package (integer rank and determinant here, the
+ranks over Frac Z[H] and over cyclotomic fields in `alexinv`).
 
-Everything here works with plain Python integers (arbitrary precision) and
-immutable values; all functions are pure.
+Apart from `bareiss`, which works in place over any exact domain, everything
+here works with plain Python integers (arbitrary precision) and immutable
+values, and is pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
+from operator import floordiv
 
 from .errors import DomainError
 
@@ -89,58 +94,63 @@ class SnfResult:
     V: IntMatrix
 
 
+def bareiss(m, div, size):
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) in place on
+    the list of row lists `m`, over any exact integral domain.
+
+    `size(e)` is None for a zero entry and otherwise a key: each step pivots
+    on the least key in the remaining submatrix, ties going to the first in
+    row-major order.  Step 0 divides by nothing; every later step divides by
+    the previous pivot with `div`, a division that is exact there.  Returns
+    (rank, minor): minor is the determinant of the input's submatrix on the
+    pivot rows and columns, each taken in increasing order (the integer 1
+    for rank 0), so it is the determinant when m is square of full rank.
+    """
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    rows, cols = list(range(nrows)), list(range(ncols))
+    prev, r = 1, 0
+    while r < min(nrows, ncols):
+        best = None
+        for i in range(r, nrows):
+            for j in range(r, ncols):
+                key = size(m[i][j])
+                if key is not None and (best is None or key < best[0]):
+                    best = (key, i, j)
+        if best is None:
+            break
+        _, pi, pj = best
+        _swap_rows(m, r, pi)
+        _swap_rows(rows, r, pi)
+        if pj != r:
+            _swap_cols(m, r, pj)
+            _swap_rows(cols, r, pj)
+        top = m[r]
+        piv = top[r]
+        for row in m[r + 1 :]:
+            a = row[r]
+            for j in range(r + 1, ncols):
+                e = row[j] * piv - a * top[j]
+                row[j] = div(e, prev) if r else e
+        prev, r = piv, r + 1
+    inversions = sum(x > y for p in (rows[:r], cols[:r]) for x, y in combinations(p, 2))
+    return r, -prev if inversions % 2 else prev
+
+
+def _int_size(e: int):
+    return abs(e) or None
+
+
 def determinant(A: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant, by `bareiss`."""
     if A.rows != A.cols:
         raise DomainError("determinant of a non-square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    m = A.row_list()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    rank, minor = bareiss(A.row_list(), floordiv, _int_size)
+    return minor if rank == A.rows else 0
 
 
 def integer_rank(A: IntMatrix) -> int:
-    """Rank of A over the rationals, by fraction-free row elimination."""
-    m = [list(r) for r in A.row_list() if any(r)]
-    rank = 0
-    col = 0
-    while m and col < A.cols:
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        a = m[rank][col]
-        for i in range(rank + 1, len(m)):
-            b = m[i][col]
-            if b:
-                m[i] = [a * x - b * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-        col += 1
-        if rank == len(m):
-            break
-    return rank
+    """Rank of A over the rationals, by `bareiss`."""
+    return bareiss(A.row_list(), floordiv, _int_size)[0]
 
 
 def _swap_rows(m, i, j):

@@ -25,8 +25,8 @@ INCONCLUSIVE = "INCONCLUSIVE"
 @dataclass(frozen=True)
 class PerKFinding:
     k: int
-    delta: LaurentPoly  # canonical
-    newton_dim: int | None  # None for the zero polynomial
+    delta: LaurentPoly  # canonical and nonzero, since k >= k0
+    newton_dim: int
     cyclotomic: str  # "yes", "no", or "n/a"
     remainder: LaurentPoly | None  # non-cyclotomic part, when computed
 
@@ -69,9 +69,9 @@ def kahler_test(p: GroupPresentation, kmax: int = DEFAULT_KMAX) -> ObstructionRe
         witnesses.append("b1 = %d is odd" % b1)
     per_k = []
     for k, delta in zip(range(k0, kmax + 1), deltas):
-        nd = None if delta.is_zero() else laurent.newton_dim(delta)
+        nd = laurent.newton_dim(delta)
         per_k.append(PerKFinding(k, delta, nd, "n/a", None))
-        if nd is not None and nd > 0:
+        if nd > 0:
             witnesses.append("Delta^%d = %s is non-constant" % (k, delta.text()))
     if th > 0:
         witnesses.append("thickness %d > 0" % th)
@@ -93,9 +93,6 @@ def _qp_report(b1: int, kmax: int, k0: int, deltas, th: int) -> ObstructionRepor
     witnesses = []
     per_k = []
     for k, delta in zip(range(k0, kmax + 1), deltas):
-        if delta.is_zero():
-            per_k.append(PerKFinding(k, delta, None, "n/a", None))
-            continue
         nd = laurent.newton_dim(delta)
         if nd >= 2:
             per_k.append(PerKFinding(k, delta, nd, "n/a", None))

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from alexlab import alexinv, laurent
+from alexlab import alexinv, exactla, laurent
 from alexlab.alexinv import (
     CharacterPoint,
     cv_dim,
@@ -14,10 +14,10 @@ from alexlab.alexinv import (
     thickness,
 )
 from alexlab.errors import DomainError
-from alexlab.fpgroup import GroupPresentation, Word, fox_matrix
+from alexlab.fpgroup import GroupPresentation, Word, fox_matrix, free_product
 from alexlab.laurent import CycloElement, LaurentPoly
 
-from corpus import ALL, FIG8, KLEIN, SOL3, TREFOIL, ZZ
+from corpus import ALL, FIG8, KLEIN, SOL3, SUM_PAIRS, T34, TREFOIL, ZZ
 
 T = LaurentPoly.variable(1, 0)
 ONE = LaurentPoly.one(1)
@@ -216,11 +216,75 @@ def test_k0_matches_random_prime_character_rank():
         F = fox_matrix(entry.presentation)
         b1 = F.abelianization.b1
         rho = CharacterPoint(tuple(Fraction(rng.randrange(1, p), p) for _ in range(b1)))
-        ev = alexinv._evaluate_matrix(F, rho)
-        rank_at_rho = alexinv._cyclo_rank(ev)
+        rank_at_rho = F.cols - 1 - cv_dim(F, rho).dim
         assert alexinv.rank_over_fractions(F) == rank_at_rho, entry.name
 
 
 def test_order_k_rejects_negative():
     with pytest.raises(DomainError):
         order_k(fox_matrix(TREFOIL.presentation), -1)
+
+
+# -- one elimination routine ----------------------------------------------------
+
+
+def _bareiss_det(entries, rows, cols) -> LaurentPoly:
+    sub = [[entries[i][j] for j in cols] for i in rows]
+    rank, minor = exactla.bareiss(sub, alexinv._exact_div, alexinv._poly_size)
+    return minor if rank == len(rows) else LaurentPoly.zero(entries[0][0].nvars)
+
+
+def _random_poly(rng, nvars) -> LaurentPoly:
+    p = LaurentPoly.zero(nvars)
+    for _ in range(rng.randint(1, 3)):
+        exps = [rng.randint(-2, 2) for _ in range(nvars)]
+        p = p + LaurentPoly.monomial(nvars, exps, rng.choice((-3, -2, -1, 1, 2, 3)))
+    return p
+
+
+def test_bareiss_minor_matches_laplace_on_random_matrices():
+    # Sign included: the pivot search swaps rows and columns freely.
+    rng = random.Random(1968)
+    full_rank = 0
+    for _ in range(120):
+        nvars, n = rng.randint(1, 3), rng.randint(1, 4)
+        entries = [[_random_poly(rng, nvars) for _ in range(n)] for _ in range(n)]
+        rows = cols = tuple(range(n))
+        expected = alexinv._minor_det(entries, rows, cols)
+        full_rank += not expected.is_zero()
+        assert _bareiss_det(entries, rows, cols) == expected
+    assert full_rank >= 100
+
+
+def test_bareiss_minor_matches_laplace_on_fox_submatrices():
+    groups = [e.presentation for e in ALL]
+    groups += [free_product(a.presentation, b.presentation) for a, b in SUM_PAIRS]
+    checked = 0
+    for p in groups:
+        F = fox_matrix(p)
+        for size in range(1, min(F.rows, F.cols, 4) + 1):
+            for rows in combinations(range(F.rows), size):
+                for cols in combinations(range(F.cols), size):
+                    expected = alexinv._minor_det(F.entries, rows, cols)
+                    assert _bareiss_det(F.entries, rows, cols) == expected, (p, rows, cols)
+                    checked += not expected.is_zero()
+    assert checked >= 100
+
+
+def test_cv_dim_inverts_nothing_on_one_row(monkeypatch):
+    # A 1 x 2 torus-knot matrix needs no division: bareiss divides only
+    # from its second step on.
+    inverses = []
+    inverse = CycloElement.inverse
+
+    def counted(self):
+        inverses.append(self.order)
+        return inverse(self)
+
+    monkeypatch.setattr(CycloElement, "inverse", counted)
+    for entry in (TREFOIL, T34):
+        F = fox_matrix(entry.presentation)
+        assert (F.rows, F.cols) == (1, 2)
+        assert cv_dim(F, CharacterPoint((Fraction(1, 6),))).dim == 1
+        assert cv_dim(F, CharacterPoint((Fraction(1, 60),))).dim == 0
+    assert inverses == []

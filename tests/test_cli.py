@@ -108,6 +108,9 @@ def test_cv(capsys, trefoil_file):
     assert out == "dim: 1\nV_1: yes\nV_2: no\n"
     code, out, err = run_cli(capsys, "cv", trefoil_file, "--rho", "1/6,0")
     assert code == 3  # wrong character length
+    code, out, err = run_cli(capsys, "cv", trefoil_file, "--rho", "1/6", "--k", "-1")
+    assert (code, out) == (3, "")
+    assert "kmax" in err
 
 
 def test_tori_cli(capsys):

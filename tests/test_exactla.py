@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 
 import pytest
@@ -92,6 +92,54 @@ def test_integer_rank_examples():
     assert exactla.integer_rank(IntMatrix.from_rows([[1, 2], [2, 4]])) == 1
     assert exactla.integer_rank(IntMatrix.zero(0, 4)) == 0
     assert exactla.integer_rank(IntMatrix.identity(4)) == 4
+
+
+def leibniz(rows):
+    """Oracle: signed sum over permutations."""
+    total = 0
+    for perm in permutations(range(len(rows))):
+        term = -1 if sum(x > y for x, y in combinations(perm, 2)) % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_determinant_sign_matches_leibniz():
+    rng = random.Random(1968)
+    singular = swapped_both = 0
+    for t in range(300):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if t % 3 == 0:
+            rows[0][0] = 0  # the first pivot cannot sit at (0, 0)
+        if t % 4 == 0 and n > 1:
+            rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+        # The first pivot is the least nonzero |entry|, first in row-major
+        # order; count the matrices where it needs a row and a column swap.
+        nonzero = [(abs(e), i, j) for i, r in enumerate(rows) for j, e in enumerate(r) if e]
+        if nonzero and min(nonzero)[1] > 0 and min(nonzero)[2] > 0:
+            swapped_both += 1
+        expected = leibniz(rows)
+        singular += expected == 0
+        assert exactla.determinant(IntMatrix.from_rows(rows)) == expected, rows
+    assert singular >= 50 and swapped_both >= 30
+
+
+def test_bareiss_minor_on_pivot_rows_and_columns():
+    # On a rectangular or singular matrix, the minor is the signed
+    # determinant of some rank-sized submatrix, rows and columns in order.
+    rng = random.Random(22)
+    for _ in range(100):
+        A = random_matrix(rng, max_dim=4, lo=-3, hi=3)
+        rank, minor = exactla.bareiss(A.row_list(), lambda a, b: a // b, lambda e: abs(e) or None)
+        assert rank == exactla.integer_rank(A)
+        subs = {
+            leibniz([[A[i, j] for j in cols] for i in rows])
+            for rows in combinations(range(A.rows), rank)
+            for cols in combinations(range(A.cols), rank)
+        }
+        assert minor != 0 and minor in subs
 
 
 def test_saturate_examples():

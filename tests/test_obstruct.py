@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from alexlab import alexinv
+from alexlab.alexinv import CharacterPoint
 from alexlab.errors import DomainError
-from alexlab.fpgroup import GroupPresentation, Word, free_product
+from alexlab.fpgroup import GroupPresentation, Word, fox_matrix, free_product
 from alexlab.laurent import LaurentPoly
 from alexlab.obstruct import (
     CONSISTENT,
@@ -133,6 +135,29 @@ def test_kmax_validation():
             run(TREFOIL.presentation, kmax=-1)
     with pytest.raises(DomainError):
         connected_sum_report([TREFOIL.presentation, FIG8.presentation], kmax=-1)
+    F = fox_matrix(TREFOIL.presentation)
+    for rho in (CharacterPoint((Fraction(1, 6),)), CharacterPoint((Fraction(0),))):
+        for kmax in (-1, -2):
+            with pytest.raises(DomainError):
+                alexinv.cv_dim(F, rho, kmax=kmax)
+        assert alexinv.cv_dim(F, rho, kmax=0).memberships == ()
+
+
+def test_reported_orders_are_nonzero():
+    # Every reported Delta^k has k >= k0, where a nonzero rank-sized minor
+    # expands into nonzero smaller minors: no report carries a zero order.
+    for entry in ALL:
+        F = fox_matrix(entry.presentation)
+        assert not alexinv.first_order(F)[1].is_zero(), entry.name
+        for run in (kahler_test, qp_test):
+            rep = run(entry.presentation)
+            assert [f.k for f in rep.per_k] == list(range(rep.k0, rep.kmax + 1))
+            for f in rep.per_k:
+                assert not f.delta.is_zero(), (entry.name, rep.test, f.k)
+    for a, b in SUM_PAIRS:
+        rep = connected_sum_report([a.presentation, b.presentation])
+        assert not rep.product_delta.is_zero()
+        assert all(not f.delta.is_zero() for f in rep.qp.per_k), (a.name, b.name)
 
 
 def _count_calls(monkeypatch):
