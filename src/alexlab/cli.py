@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 parse error (bad files or invocation), 2 computation
-limit exceeded, 3 invalid mathematical input.  Every sub-command accepts
---machine for a deterministic single-line JSON document.
+limit exceeded, 3 invalid mathematical input, 4 internal error (any other
+exception, reported on one stderr line).  Every sub-command accepts --machine
+for a deterministic single-line JSON document.
 """
 
 from __future__ import annotations
@@ -484,6 +485,9 @@ def run(argv=None) -> int:
     except (DomainError, AlexlabError) as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return 3
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 4
 
 
 def main():

@@ -7,9 +7,11 @@ distinguished associate (componentwise-minimal exponent 0 in every variable,
 positive coefficient on the lexicographically largest exponent) so that
 "equal up to a unit" becomes plain equality.
 
-The gcd is computed dependency-free: recursion on variables with
+The gcd is computed dependency-free: a heuristic gcd (evaluation at large
+integers, integer gcd, lifting by base-xi digits) certified by exact
+division, with a subresultant fallback (recursion on variables with
 content/primitive-part splitting and univariate subresultant remainder
-sequences.  The number of variables is capped (default 6, override with the
+sequences).  The number of variables is capped (default 6, override with the
 ALEXLAB_MAX_VARS environment variable).
 """
 
@@ -19,7 +21,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as igcd
+from math import gcd as igcd, isqrt
 
 from .errors import DomainError, LimitError
 from . import exactla
@@ -392,8 +394,99 @@ def _gcd_poly(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     return cont * Gpp
 
 
+HEU_TRIES = 6
+
+
+def _heu_gcd(f: dict, g: dict, n: int) -> dict | None:
+    """Heuristic gcd (GCDHEU: Char, Geddes & Gonnet, J. Symbolic Comput. 7,
+    1989) of two nonzero polynomials given as {exponent n-tuple: int} with
+    nonnegative exponents.
+
+    Drops the last variable when neither operand has it.  Otherwise
+    evaluates it at an integer xi, takes the gcd of the images (recursively,
+    down to integers), lifts it back by symmetric base-xi digits and keeps
+    its primitive part only if exact division shows that it divides both
+    primitive operands.  With xi >= 2*min(|f|, |g|) + 2 (max norms of the
+    primitive parts) such a candidate is the gcd (Geddes, Czapor & Labahn,
+    Thm 7.7), provided the gcd of the images is exact, as it is here at
+    every level.  Returns None when every try fails; the caller then falls
+    back to `_gcd_poly`.
+    """
+    if n == 0:
+        return {(): igcd(f[()], g[()])}
+    if not any(e[-1] for e in f) and not any(e[-1] for e in g):
+        f = {e[:-1]: c for e, c in f.items()}
+        h = _heu_gcd(f, {e[:-1]: c for e, c in g.items()}, n - 1)
+        return None if h is None else {e + (0,): c for e, c in h.items()}
+    cf = exactla.content(f.values())
+    cg = exactla.content(g.values())
+    if cf != 1:
+        f = {e: c // cf for e, c in f.items()}
+    if cg != 1:
+        g = {e: c // cg for e, c in g.items()}
+    F = LaurentPoly(n, tuple(sorted(f.items())))
+    G = LaurentPoly(n, tuple(sorted(g.items())))
+    cont = igcd(cf, cg)
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
+    for _ in range(HEU_TRIES):
+        # xi may be a root of the operand with the larger norm.
+        ff = _eval_last(f, xi)
+        gg = _eval_last(g, xi)
+        if ff and gg:
+            h = _heu_gcd(ff, gg, n - 1)
+            if h is None:
+                return None
+            H = _lift_last(h, xi)
+            hc = exactla.content(H.values())
+            C = LaurentPoly(n, tuple(sorted((e, c // hc) for e, c in H.items())))
+            # With min exponents 0, division in the Laurent ring is division
+            # in the polynomial ring, where the theorem holds.
+            if (
+                not any(C.min_exponents())
+                and exact_div(F, C) is not None
+                and exact_div(G, C) is not None
+            ):
+                return {e: cont * c for e, c in C.terms}
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _eval_last(f: dict, xi: int) -> dict:
+    """f with its last variable set to xi, zero coefficients dropped."""
+    powers = [1]
+    for _ in range(max(e[-1] for e in f)):
+        powers.append(powers[-1] * xi)
+    out: dict = {}
+    for e, c in f.items():
+        key = e[:-1]
+        out[key] = out.get(key, 0) + c * powers[e[-1]]
+    return {e: c for e, c in out.items() if c}
+
+
+def _lift_last(h: dict, xi: int) -> dict:
+    """Inverse of `_eval_last` for coefficients below xi/2: each integer
+    becomes its symmetric base-xi digits, the k-th digit the coefficient of
+    the new last variable to the power k."""
+    half = xi // 2
+    out = {}
+    for e, c in h.items():
+        k = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[e + (k,)] = d
+            c = (c - d) // xi
+            k += 1
+    return out
+
+
 def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """gcd in the Laurent ring, canonically normalized.  gcd(p, 0) = p."""
+    """gcd in the Laurent ring, canonically normalized.  gcd(p, 0) = p.
+
+    Tried in order: q divisible by p, then `_heu_gcd`, then the
+    subresultant `_gcd_poly`.  Each answer is exact."""
     p._check_ambient(q)
     if p.is_zero():
         return q.canonical()
@@ -407,7 +500,12 @@ def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         )
     P = p.canonical()
     Q = q.canonical()
-    return _gcd_poly(P, Q).canonical()
+    if exact_div(Q, P) is not None:
+        return P
+    h = _heu_gcd(dict(P.terms), dict(Q.terms), p.nvars)
+    if h is None:
+        return _gcd_poly(P, Q).canonical()
+    return LaurentPoly._make(p.nvars, h).canonical()
 
 
 # -- Newton polytope -------------------------------------------------------

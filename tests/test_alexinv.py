@@ -14,7 +14,13 @@ from alexlab.alexinv import (
     thickness,
 )
 from alexlab.errors import DomainError
-from alexlab.fpgroup import GroupPresentation, Word, fox_matrix, free_product
+from alexlab.fpgroup import (
+    GroupPresentation,
+    Word,
+    fox_matrix,
+    free_product,
+    parse_presentation,
+)
 from alexlab.laurent import CycloElement, LaurentPoly
 
 from corpus import ALL, FIG8, KLEIN, SOL3, SUM_PAIRS, T34, TREFOIL, ZZ
@@ -288,3 +294,45 @@ def test_cv_dim_inverts_nothing_on_one_row(monkeypatch):
         assert cv_dim(F, CharacterPoint((Fraction(1, 6),))).dim == 1
         assert cv_dim(F, CharacterPoint((Fraction(1, 60),))).dim == 0
     assert inverses == []
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(laurent, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(laurent, name, counted)
+    return calls
+
+
+def test_order_k_never_falls_back_to_subresultants(monkeypatch):
+    # Every gcd of the corpus's minors is settled by the divisibility
+    # shortcut or the certified heuristic; a silent drop to the subresultant
+    # path shows up here.
+    prs = _count_calls(monkeypatch, "_gcd_poly")
+    heu = _count_calls(monkeypatch, "_heu_gcd")
+    groups = [e.presentation for e in ALL]
+    groups += [free_product(a.presentation, b.presentation) for a, b in SUM_PAIRS]
+    for p in groups:
+        F = fox_matrix(p)
+        for k in range(F.cols + 1):
+            order_k(F, k)
+    assert prs == []
+    assert heu
+
+
+def test_first_order_of_random_five_generator_presentation(monkeypatch):
+    # The subresultant path alone needs tens of seconds on its coprime
+    # bivariate minors.
+    prs = _count_calls(monkeypatch, "_gcd_poly")
+    p = parse_presentation(
+        "gens x1 x2 x3 x4 x5\n"
+        "rel x5 x2^-1 x5^-1 x3 x1^-1 x4^-1 x2^-1 x4^-1 x3\n"
+        "rel x1 x4 x3 x4 x1 x4^2 x1^-1 x4^-1\n"
+        "rel x2^2 x3 x5 x1^2 x4 x2\n"
+    )
+    assert first_order(fox_matrix(p)) == (2, LaurentPoly.one(2))
+    assert prs == []

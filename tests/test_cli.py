@@ -244,6 +244,18 @@ def test_limit_exit_code(capsys, trefoil_file, monkeypatch):
     assert "limit" in err.lower()
 
 
+def test_internal_error_exit_code(capsys, trefoil_file, monkeypatch):
+    def broken(args):
+        raise RuntimeError("inexact division")
+
+    monkeypatch.setattr(cli, "_cmd_delta", broken)
+    code, out, err = run_cli(capsys, "delta", trefoil_file, "--k", "1")
+    assert code == 4
+    assert not out
+    assert err == "internal error: RuntimeError: inexact division\n"
+    assert "Traceback" not in err
+
+
 def test_parse_error_in_fp_file(capsys, tmp_path):
     bad = tmp_path / "bad.fp"
     bad.write_text("rel a\n")

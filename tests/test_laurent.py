@@ -126,10 +126,57 @@ def test_gcd_divides_and_coprime_cofactors():
         assert laurent.gcd(cp, cq).is_unit()
 
 
-def test_gcd_against_sympy():
-    sympy = pytest.importorskip("sympy")
+def _sympy_gcd_cases():
+    """Pairs for the sympy differential tests: 60 small pairs with a
+    planted factor, then pairs with degree >= 40 in one variable,
+    coefficients up to 10^6, coprime pairs with no planted factor, and
+    pairs where one operand lacks a variable (nvars 1..4)."""
     rng = random.Random(1234)
-    xs = sympy.symbols("x0:3")
+    cases = []
+    for _ in range(60):
+        nv = rng.randint(1, 3)
+        g = random_poly(rng, nv)
+        cases.append((g * random_poly(rng, nv), g * random_poly(rng, nv)))
+    for i in range(8):
+        nv = i % 4 + 1
+        x = V(nv, rng.randrange(nv))
+        g = random_poly(rng, nv) + x ** rng.randint(20, 30)
+        p = g * (random_poly(rng, nv) + x ** rng.randint(20, 30))
+        q = g * (random_poly(rng, nv) + x ** rng.randint(20, 30))
+        cases.append((p, q))
+    for i in range(8):
+        nv = i % 4 + 1
+        g = random_poly(rng, nv, max_terms=4, max_coeff=10**3)
+        p = g * random_poly(rng, nv, max_terms=4, max_coeff=10**3)
+        q = g * random_poly(rng, nv, max_terms=4, max_coeff=10**6)
+        cases.append((p, q))
+    for i in range(8):
+        nv = i % 4 + 1
+        cases.append(
+            (random_poly(rng, nv, max_terms=6), random_poly(rng, nv, max_terms=6))
+        )
+    for i in range(8):
+        nv = i % 3 + 2
+        v = rng.randrange(nv)
+        drop = tuple(0 if j == v else 1 for j in range(nv))
+
+        def without_v(p):
+            return laurent.poly_from_pairs(
+                nv, [(tuple(a * b for a, b in zip(e, drop)), c) for e, c in p.terms]
+            )
+
+        g = without_v(random_poly(rng, nv))
+        p = g * (random_poly(rng, nv) + V(nv, v))
+        cases.append((p, g * without_v(random_poly(rng, nv, max_terms=4))))
+    return cases
+
+
+def _max_degree(p):
+    return max(p.degree_in(v) for v in range(p.nvars))
+
+
+def _check_gcd_against_sympy(sympy, keep=lambda p: True):
+    xs = sympy.symbols("x0:4")
 
     def to_sympy(p):
         expr = sympy.Integer(0)
@@ -146,14 +193,45 @@ def test_gcd_against_sympy():
             nv, [(tuple(m), int(c)) for m, c in zip(poly.monoms(), poly.coeffs())]
         )
 
-    for _ in range(60):
-        nv = rng.randint(1, 3)
-        g = random_poly(rng, nv)
-        p = g * random_poly(rng, nv)
-        q = g * random_poly(rng, nv)
+    cases = [(p, q) for p, q in _sympy_gcd_cases() if keep(p)]
+    for p, q in cases:
         ours = laurent.gcd(p, q)
-        theirs = from_sympy(sympy.gcd(to_sympy(p), to_sympy(q)), nv)
-        assert ours == theirs.canonical()
+        theirs = from_sympy(sympy.gcd(to_sympy(p), to_sympy(q)), p.nvars)
+        assert ours == theirs.canonical(), (p, q)
+    return cases
+
+
+def test_gcd_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    cases = _check_gcd_against_sympy(sympy)
+    assert {p.nvars for p, _ in cases} == {1, 2, 3, 4}
+    assert min(_max_degree(p) for p, _ in cases[60:68]) >= 40
+    assert max(abs(c) for p, q in cases for _, c in p.terms + q.terms) >= 10**6
+
+
+def test_gcd_fallback_against_sympy(monkeypatch):
+    # The subresultant path alone, as when every heuristic try fails.  The
+    # high-degree pairs in 3 and 4 variables are left out: on two of those
+    # four its coefficient swell takes it over 10 s.
+    sympy = pytest.importorskip("sympy")
+    monkeypatch.setattr(laurent, "_heu_gcd", lambda f, g, n: None)
+    cases = _check_gcd_against_sympy(
+        sympy, lambda p: p.nvars <= 2 or _max_degree(p) < 20
+    )
+    assert len(cases) == len(_sympy_gcd_cases()) - 4
+
+
+def test_gcd_heuristic_certifies_its_candidates():
+    # At xi = 4 the integer gcd of 30 and 75 is 15, whose base-4 digits
+    # lift to t^2 - 1: it divides the second operand but not the first.
+    p = T**2 + C(1, 3) * T + C(1, 2)  # (t + 1)(t + 2)
+    q = T**3 + T**2 - T - ONE  # (t + 1)^2 (t - 1)
+    assert laurent.gcd(p, q) == T + ONE
+    # xi = 4 is a root of the first operand in its last variable.
+    x, y = V(2, 0), V(2, 1)
+    p = (y - C(2, 4)) * (x + C(2, 1))
+    assert laurent.gcd(p, x + C(2, 1)) == x + C(2, 1)
+    assert laurent.gcd(T - C(1, 4), T + ONE) == ONE
 
 
 def test_gcd_variable_limit(monkeypatch):
