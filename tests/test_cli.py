@@ -208,6 +208,13 @@ def test_machine_numeric_fields_round_trip(capsys, tmp_path):
     assert isinstance(doc["result"]["dim"], int)
 
 
+THURSTON_DAT = (
+    "phi 1 0 thurston 1 fibered 1\n"
+    "phi 1 1 thurston 2 fibered 1\n"
+    "phi 0 1 thurston 0 fibered 0\n"
+)
+
+# `.json` goldens are --machine documents, `.txt` goldens human output.
 GOLDENS = {
     "delta_trefoil.json": ["delta", "trefoil.fp", "--k", "1", "--machine"],
     "test_qp_solbundle.json": ["test", "qp", "solbundle.fp", "--machine"],
@@ -220,6 +227,22 @@ GOLDENS = {
     ],
     "sum_sol_rp3.json": ["sum", "solbundle.fp", "rp3.fp", "--machine"],
     "abelianize_trefoil.json": ["abelianize", "trefoil.fp", "--machine"],
+    "thickness_whitehead.json": ["thickness", "wh.fp", "--machine"],
+    "norm_whitehead.json": ["norm", "wh.fp", "--phi", "1,1", "--machine"],
+    "ball_whitehead.json": ["ball", "wh.fp", "--machine"],
+    "test_kahler_solbundle.json": ["test", "kahler", "solbundle.fp", "--machine"],
+    "build_torusknot.json": ["build", "torusknot", "--p", "2", "--q", "3", "--machine"],
+    "build_torusbundle.json": ["build", "torusbundle", "--matrix", "2,1,1,1", "--machine"],
+    "build_freebycyclic.json": [
+        "build", "freebycyclic", "--rank", "2",
+        "--image", "x1 x2", "--image", "x2 x1 x2",
+        "--machine",
+    ],
+    "mcmullen_whitehead.json": ["mcmullen", "wh.fp", "--data", "thurston.dat", "--machine"],
+    "test_qp_solbundle.txt": ["test", "qp", "solbundle.fp"],
+    "sum_sol_rp3.txt": ["sum", "solbundle.fp", "rp3.fp"],
+    "mcmullen_whitehead.txt": ["mcmullen", "wh.fp", "--data", "thurston.dat"],
+    "abelianize_trefoil.txt": ["abelianize", "trefoil.fp"],
 }
 
 
@@ -227,9 +250,13 @@ GOLDENS = {
 def test_machine_goldens_byte_equal(capsys, tmp_path, monkeypatch, golden):
     import pathlib
 
+    from corpus import WHITEHEAD
+
     (tmp_path / "trefoil.fp").write_text(TREFOIL_FP)
     (tmp_path / "solbundle.fp").write_text(SOL_FP)
     (tmp_path / "rp3.fp").write_text("gens x\nrel x^2\n")
+    (tmp_path / "wh.fp").write_text(fpgroup.serialize_presentation(WHITEHEAD.presentation))
+    (tmp_path / "thurston.dat").write_text(THURSTON_DAT)
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *GOLDENS[golden])
     assert code == 0
