@@ -184,6 +184,8 @@ def cv_dim(F: FoxMatrix, rho: CharacterPoint, kmax: int | None = None) -> CvRepo
     vanish exactly when its rank is below s - k, that is, when
     s - 1 - rank >= k.
     """
+    if len(rho.rho) != F.nvars:
+        raise DomainError("character has %d entries but b1 = %d" % (len(rho.rho), F.nvars))
     if kmax is not None and kmax < 0:
         raise DomainError("kmax must be nonnegative")
     if rho.is_trivial():

@@ -3,19 +3,21 @@
 Exit codes: 0 success, 1 parse error (bad files or invocation), 2 computation
 limit exceeded, 3 invalid mathematical input, 4 internal error (any other
 exception, reported on one stderr line).  Every sub-command accepts --machine
-for a deterministic single-line JSON document.
+for a deterministic single-line JSON document; where a command returns a
+report dataclass, its `result` object uses that dataclass's field names.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
 from fractions import Fraction
 
 from . import alexinv, builders, fpgroup, laurent, norms, obstruct, torusgeo
-from .errors import AlexlabError, DomainError, LimitError, ParseError
+from .errors import AlexlabError, LimitError, ParseError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -29,8 +31,8 @@ def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise ParseError("cannot read %s: %s" % (path, exc.strerror or exc))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError("cannot read %s: %s" % (path, getattr(exc, "strerror", None) or exc))
 
 
 def _load_presentation(path: str) -> fpgroup.GroupPresentation:
@@ -71,9 +73,7 @@ def parse_torus_spec(text: str) -> torusgeo.TranslatedTorus:
         n = int(fields["n"])
     except ValueError:
         raise ParseError("bad ambient rank %r" % fields["n"])
-    rows = []
-    for group in _TUPLE_RE.findall(fields.get("rows", "")):
-        rows.append(_csv_ints(group))
+    rows = [_csv_ints(group) for group in _TUPLE_RE.findall(fields.get("rows", ""))]
     translate = [Fraction(0)] * n
     if fields.get("q"):
         m = _TUPLE_RE.findall(fields["q"])
@@ -86,6 +86,21 @@ def parse_torus_spec(text: str) -> torusgeo.TranslatedTorus:
 # -- document helpers ----------------------------------------------------------
 
 
+def _doc(value):
+    """JSON form of a result: a LaurentPoly is its `to_doc()`, any other
+    dataclass a dict keyed by its field names, a tuple or list a list, a
+    Fraction a string; anything else is already JSON."""
+    if isinstance(value, laurent.LaurentPoly):
+        return value.to_doc()
+    if dataclasses.is_dataclass(value):
+        return {f.name: _doc(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_doc(x) for x in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    return value
+
+
 def _emit(doc: dict, human: str, machine: bool) -> str:
     if machine:
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -94,28 +109,6 @@ def _emit(doc: dict, human: str, machine: bool) -> str:
 
 def _first_order(p: fpgroup.GroupPresentation):
     return alexinv.first_order(fpgroup.fox_matrix(p))
-
-
-def _report_doc(r: obstruct.ObstructionReport) -> dict:
-    return {
-        "test": r.test,
-        "b1": r.b1,
-        "k0": r.k0,
-        "kmax": r.kmax,
-        "thickness": r.thickness,
-        "verdict": r.verdict,
-        "witnesses": list(r.witnesses),
-        "per_k": [
-            {
-                "k": f.k,
-                "delta": f.delta.to_doc(),
-                "newton_dim": f.newton_dim,
-                "cyclotomic": f.cyclotomic,
-                "remainder": None if f.remainder is None else f.remainder.to_doc(),
-            }
-            for f in r.per_k
-        ],
-    }
 
 
 def _report_human(r: obstruct.ObstructionReport) -> str:
@@ -139,12 +132,7 @@ def _cmd_abelianize(args) -> str:
     doc = {
         "command": "abelianize",
         "file": args.file,
-        "result": {
-            "generators": list(p.generators),
-            "b1": ab.b1,
-            "torsion": list(ab.torsion),
-            "images": [list(v) for v in ab.images],
-        },
+        "result": dict(_doc(ab), generators=list(p.generators)),
     }
     lines = ["b1: %d" % ab.b1]
     lines.append("torsion: %s" % (" ".join(str(t) for t in ab.torsion) or "none"))
@@ -160,7 +148,7 @@ def _cmd_delta(args) -> str:
         "command": "delta",
         "file": args.file,
         "k": args.k,
-        "result": {"delta": d.to_doc(), "text": d.text()},
+        "result": {"delta": _doc(d), "text": d.text()},
     }
     return _emit(doc, d.text() + "\n", args.machine)
 
@@ -171,7 +159,7 @@ def _cmd_thickness(args) -> str:
     doc = {
         "command": "thickness",
         "file": args.file,
-        "result": {"k0": k0, "delta": delta.to_doc(), "thickness": th},
+        "result": {"k0": k0, "delta": _doc(delta), "thickness": th},
     }
     return _emit(doc, "%d\n" % th, args.machine)
 
@@ -183,8 +171,8 @@ def _cmd_norm(args) -> str:
     doc = {
         "command": "norm",
         "file": args.file,
-        "phi": list(phi.phi),
-        "result": {"alexander_norm": value, "delta": delta.to_doc()},
+        "phi": _doc(phi.phi),
+        "result": {"alexander_norm": value, "delta": _doc(delta)},
     }
     return _emit(doc, "%d\n" % value, args.machine)
 
@@ -192,37 +180,21 @@ def _cmd_norm(args) -> str:
 def _cmd_ball(args) -> str:
     _, delta = _first_order(_load_presentation(args.file))
     ball = norms.support_polytope(delta)
-    doc = {
-        "command": "ball",
-        "file": args.file,
-        "result": {
-            "role": ball.role,
-            "vertices": [[str(x) for x in v] for v in ball.vertices],
-        },
-    }
+    doc = {"command": "ball", "file": args.file, "result": _doc(ball)}
     human = "".join("(%s)\n" % ", ".join(str(x) for x in v) for v in ball.vertices)
     return _emit(doc, human, args.machine)
 
 
 def _cmd_cv(args) -> str:
-    p = _load_presentation(args.file)
-    F = fpgroup.fox_matrix(p)
+    F = fpgroup.fox_matrix(_load_presentation(args.file))
     rho = alexinv.CharacterPoint(tuple(_csv_fractions(args.rho)))
-    if len(rho.rho) != F.nvars:
-        raise DomainError(
-            "character has %d entries but b1 = %d" % (len(rho.rho), F.nvars)
-        )
     rep = alexinv.cv_dim(F, rho, kmax=args.k)
     doc = {
         "command": "cv",
         "file": args.file,
-        "rho": [str(x) for x in rho.rho],
+        "rho": _doc(rho.rho),
         "k": args.k,
-        "result": {
-            "dim": rep.dim,
-            "order": rho.order,
-            "memberships": list(rep.memberships),
-        },
+        "result": dict(_doc(rep), order=rho.order),
     }
     lines = ["dim: %d" % rep.dim]
     for k, flag in enumerate(rep.memberships, start=1):
@@ -238,7 +210,7 @@ def _cmd_test(args) -> str:
         "command": "test",
         "file": args.file,
         "kmax": args.kmax,
-        "result": _report_doc(rep),
+        "result": _doc(rep),
     }
     return _emit(doc, _report_human(rep), args.machine)
 
@@ -251,25 +223,17 @@ def _cmd_sum(args) -> str:
         "files": list(args.files),
         "kmax": args.kmax,
         "result": {
-            "factors": [
-                {
-                    "b1": f.b1,
-                    "k0": f.k0,
-                    "delta": f.delta.to_doc(),
-                    "thickness": f.thickness,
-                }
-                for f in rep.factors
-            ],
+            "factors": _doc(rep.factors),
             "product": {
                 "presentation": fpgroup.serialize_presentation(rep.product),
                 "b1": rep.product_b1,
                 "k0": rep.product_k0,
-                "delta": rep.product_delta.to_doc(),
+                "delta": _doc(rep.product_delta),
                 "thickness": rep.product_thickness,
             },
             "thickness_additive": rep.thickness_additive,
             "delta_divisible": rep.delta_divisible,
-            "qp": _report_doc(rep.qp),
+            "qp": _doc(rep.qp),
         },
     }
     lines = []
@@ -298,7 +262,7 @@ def _cmd_tori(args) -> str:
         "command": "tori.intersect",
         "t1": args.t1,
         "t2": args.t2,
-        "result": {"meets": rep.meets, "dim": rep.dim, "parallel": rep.parallel},
+        "result": _doc(rep),
     }
     lines = ["meets: %s" % ("yes" if rep.meets else "no")]
     if rep.meets:
@@ -318,14 +282,10 @@ def _cmd_build(args) -> str:
     else:
         m = args.rank
         names = {"x%d" % (i + 1): i for i in range(m)}
-        images = []
-        for text in args.image or []:
-            toks = text.split()
-            images.append(
-                fpgroup.Word.from_pairs(
-                    fpgroup._parse_token(t, names) for t in toks
-                )
-            )
+        images = [
+            fpgroup.Word.from_pairs(fpgroup._parse_token(t, names) for t in text.split())
+            for text in args.image or []
+        ]
         if len(images) != m:
             raise ParseError(
                 "freebycyclic needs exactly --rank many --image words (%d != %d)"
@@ -347,10 +307,10 @@ def _cmd_mcmullen(args) -> str:
         "file": args.file,
         "data": args.data,
         "result": {
-            "delta": delta.to_doc(),
+            "delta": _doc(delta),
             "entries": [
                 {
-                    "phi": list(e.datum.phi.phi),
+                    "phi": _doc(e.datum.phi.phi),
                     "thurston": e.datum.thurston,
                     "fibered": e.datum.fibered,
                     "alexander": e.alexander,
@@ -381,92 +341,72 @@ def _cmd_mcmullen(args) -> str:
 # -- wiring -----------------------------------------------------------------------
 
 
-def _add_machine(sp):
+def _leaf(sub, name: str, func, *positionals, help=None, **options):
+    """Add the sub-command `name`, run by `func`: its positionals in order
+    (a name, or a (name, add_argument kwargs) pair), then `--<key>` for each
+    option with its kwargs, then --machine."""
+    sp = sub.add_parser(name) if help is None else sub.add_parser(name, help=help)
+    for pos in positionals:
+        dest, kw = (pos, {}) if isinstance(pos, str) else pos
+        sp.add_argument(dest, **kw)
+    for key, kw in options.items():
+        sp.add_argument("--" + key, **kw)
     sp.add_argument("--machine", action="store_true", help="emit a JSON document")
+    sp.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="alexlab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    required_int = dict(type=int, required=True)
+    kmax = dict(type=int, default=obstruct.DEFAULT_KMAX)
 
-    sp = sub.add_parser("abelianize", help="b1, torsion, generator images")
-    sp.add_argument("file")
-    _add_machine(sp)
-    sp.set_defaults(func=_cmd_abelianize)
-
-    sp = sub.add_parser("delta", help="k-th order polynomial of the Fox matrix")
-    sp.add_argument("file")
-    sp.add_argument("--k", type=int, required=True)
-    _add_machine(sp)
-    sp.set_defaults(func=_cmd_delta)
-
-    sp = sub.add_parser("thickness", help="Newton dimension of the first order")
-    sp.add_argument("file")
-    _add_machine(sp)
-    sp.set_defaults(func=_cmd_thickness)
-
-    sp = sub.add_parser("norm", help="Alexander norm of a cohomology class")
-    sp.add_argument("file")
-    sp.add_argument("--phi", required=True, help="comma-separated integers")
-    _add_machine(sp)
-    sp.set_defaults(func=_cmd_norm)
-
-    sp = sub.add_parser("ball", help="support polytope of the first order")
-    sp.add_argument("file")
-    _add_machine(sp)
-    sp.set_defaults(func=_cmd_ball)
-
-    sp = sub.add_parser("cv", help="twisted homology dimension at a character")
-    sp.add_argument("file")
-    sp.add_argument("--rho", required=True, help="comma-separated rationals")
-    sp.add_argument("--k", type=int, default=None, help="report V_k up to this k")
-    _add_machine(sp)
-    sp.set_defaults(func=_cmd_cv)
-
-    sp = sub.add_parser("test", help="Kahler / quasi-projective necessary conditions")
-    sp.add_argument("which", choices=("kahler", "qp"))
-    sp.add_argument("file")
-    sp.add_argument("--kmax", type=int, default=obstruct.DEFAULT_KMAX)
-    _add_machine(sp)
-    sp.set_defaults(func=_cmd_test)
-
-    sp = sub.add_parser("sum", help="free product analysis of several groups")
-    sp.add_argument("files", nargs="+")
-    sp.add_argument("--kmax", type=int, default=obstruct.DEFAULT_KMAX)
-    _add_machine(sp)
-    sp.set_defaults(func=_cmd_sum)
+    _leaf(sub, "abelianize", _cmd_abelianize, "file", help="b1, torsion, generator images")
+    _leaf(
+        sub, "delta", _cmd_delta, "file",
+        help="k-th order polynomial of the Fox matrix", k=required_int,
+    )
+    _leaf(sub, "thickness", _cmd_thickness, "file", help="Newton dimension of the first order")
+    _leaf(
+        sub, "norm", _cmd_norm, "file", help="Alexander norm of a cohomology class",
+        phi=dict(required=True, help="comma-separated integers"),
+    )
+    _leaf(sub, "ball", _cmd_ball, "file", help="support polytope of the first order")
+    _leaf(
+        sub, "cv", _cmd_cv, "file", help="twisted homology dimension at a character",
+        rho=dict(required=True, help="comma-separated rationals"),
+        k=dict(type=int, default=None, help="report V_k up to this k"),
+    )
+    _leaf(
+        sub, "test", _cmd_test, ("which", dict(choices=("kahler", "qp"))), "file",
+        help="Kahler / quasi-projective necessary conditions", kmax=kmax,
+    )
+    _leaf(
+        sub, "sum", _cmd_sum, ("files", dict(nargs="+")),
+        help="free product analysis of several groups", kmax=kmax,
+    )
 
     sp = sub.add_parser("tori", help="translated subtorus geometry")
     tsub = sp.add_subparsers(dest="tori_command", required=True)
-    ip = tsub.add_parser("intersect")
-    ip.add_argument("--t1", required=True, help="e.g. n=2;rows=(1,0);q=(1/2,0)")
-    ip.add_argument("--t2", required=True)
-    _add_machine(ip)
-    ip.set_defaults(func=_cmd_tori)
+    _leaf(
+        tsub, "intersect", _cmd_tori,
+        t1=dict(required=True, help="e.g. n=2;rows=(1,0);q=(1/2,0)"),
+        t2=dict(required=True),
+    )
 
     sp = sub.add_parser("build", help="construct corpus presentations")
     bsub = sp.add_subparsers(dest="family", required=True)
-    bp = bsub.add_parser("torusbundle")
-    bp.add_argument("--matrix", required=True, help="a11,a12,a21,a22")
-    _add_machine(bp)
-    bp.set_defaults(func=_cmd_build)
-    bp = bsub.add_parser("torusknot")
-    bp.add_argument("--p", type=int, required=True)
-    bp.add_argument("--q", type=int, required=True)
-    _add_machine(bp)
-    bp.set_defaults(func=_cmd_build)
-    bp = bsub.add_parser("freebycyclic")
-    bp.add_argument("--rank", type=int, required=True)
-    bp.add_argument("--image", action="append", help="word over x1..xm, repeatable")
-    _add_machine(bp)
-    bp.set_defaults(func=_cmd_build)
+    _leaf(bsub, "torusbundle", _cmd_build, matrix=dict(required=True, help="a11,a12,a21,a22"))
+    _leaf(bsub, "torusknot", _cmd_build, p=required_int, q=required_int)
+    _leaf(
+        bsub, "freebycyclic", _cmd_build, rank=required_int,
+        image=dict(action="append", help="word over x1..xm, repeatable"),
+    )
 
-    sp = sub.add_parser("mcmullen", help="compare against supplied Thurston data")
-    sp.add_argument("file")
-    sp.add_argument("--data", required=True)
-    _add_machine(sp)
-    sp.set_defaults(func=_cmd_mcmullen)
-
+    _leaf(
+        sub, "mcmullen", _cmd_mcmullen, "file",
+        help="compare against supplied Thurston data", data=dict(required=True),
+    )
     return ap
 
 
@@ -482,7 +422,7 @@ def run(argv=None) -> int:
     except LimitError as exc:
         print("limit exceeded: %s" % exc, file=sys.stderr)
         return 2
-    except (DomainError, AlexlabError) as exc:
+    except AlexlabError as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return 3
     except Exception as exc:

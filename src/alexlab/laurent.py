@@ -107,13 +107,6 @@ class LaurentPoly:
     def support(self) -> tuple[tuple[int, ...], ...]:
         return tuple(e for e, _ in self.terms)
 
-    def coefficient(self, exps) -> int:
-        exps = tuple(exps)
-        for e, c in self.terms:
-            if e == exps:
-                return c
-        return 0
-
     def min_exponents(self) -> tuple[int, ...]:
         if self.is_zero():
             return (0,) * self.nvars
@@ -700,6 +693,16 @@ def _qpoly_invmod(b: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
     return [x / lead for x in s0]
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_coeffs(order: int) -> tuple[Fraction, ...]:
+    """Coefficients of Phi_order, constant term first."""
+    phi = cyclotomic_polynomial(order)
+    out = [Fraction(0)] * (phi.degree_in(0) + 1)
+    for (k,), c in phi.terms:
+        out[k] = Fraction(c)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class CycloElement:
     """An element of the m-th cyclotomic field, reduced modulo Phi_m."""
@@ -709,11 +712,9 @@ class CycloElement:
 
     @classmethod
     def from_poly(cls, order: int, coeffs) -> "CycloElement":
-        phi = cyclotomic_polynomial(order)
-        deg = phi.degree_in(0)
-        mod = [Fraction(phi.coefficient((k,))) for k in range(deg + 1)]
-        a = [Fraction(x) for x in coeffs]
-        _, r = _qpoly_divmod(a, mod)
+        mod = _cyclotomic_coeffs(order)
+        deg = len(mod) - 1
+        _, r = _qpoly_divmod([Fraction(x) for x in coeffs], mod)
         r = r + [Fraction(0)] * (deg - len(r))
         return cls(order, tuple(r))
 
@@ -723,9 +724,6 @@ class CycloElement:
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.coeffs)
-
-    def is_rational(self) -> bool:
-        return all(x == 0 for x in self.coeffs[1:])
 
     def _lift(self, other):
         if isinstance(other, CycloElement):
@@ -758,9 +756,8 @@ class CycloElement:
     def inverse(self) -> "CycloElement":
         if self.is_zero():
             raise DomainError("inverse of zero")
-        phi = cyclotomic_polynomial(self.order)
-        deg = phi.degree_in(0)
-        mod = [Fraction(phi.coefficient((k,))) for k in range(deg + 1)]
+        mod = _cyclotomic_coeffs(self.order)
+        deg = len(mod) - 1
         inv = _qpoly_invmod(_qpoly_trim(list(self.coeffs)), mod)
         inv = inv + [Fraction(0)] * (deg - len(inv))
         return CycloElement(self.order, tuple(inv[:deg]))

@@ -124,6 +124,14 @@ def test_cv_dim_trivial_character():
     assert rep.memberships == (True, False)
 
 
+def test_cv_dim_rejects_character_of_wrong_length():
+    # b1 = 1: the trivial character must be checked like any other
+    F = fox_matrix(TREFOIL.presentation)
+    for rho in ((0, 0), (Fraction(1, 6), 0), ()):
+        with pytest.raises(DomainError, match="character has %d entries but b1 = 1" % len(rho)):
+            cv_dim(F, CharacterPoint(rho))
+
+
 def _nontrivial_characters(b1, max_order):
     """All characters with entries of denominator <= max_order, b1 = 1 case,
     plus a sampling grid for higher rank."""

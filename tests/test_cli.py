@@ -108,6 +108,9 @@ def test_cv(capsys, trefoil_file):
     assert out == "dim: 1\nV_1: yes\nV_2: no\n"
     code, out, err = run_cli(capsys, "cv", trefoil_file, "--rho", "1/6,0")
     assert code == 3  # wrong character length
+    code, out, err = run_cli(capsys, "cv", trefoil_file, "--rho", "0,0")
+    assert (code, out) == (3, "")  # the trivial character is checked too
+    assert "character has 2 entries but b1 = 1" in err
     code, out, err = run_cli(capsys, "cv", trefoil_file, "--rho", "1/6", "--k", "-1")
     assert (code, out) == (3, "")
     assert "kmax" in err
@@ -289,3 +292,18 @@ def test_parse_error_in_fp_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, "abelianize", str(bad))
     assert code == 1
     assert "gens" in err
+
+
+def test_non_utf8_file_exits_1(capsys, tmp_path, trefoil_file):
+    bad = tmp_path / "bad.fp"
+    bad.write_bytes(b"gens a\nrel a\xff\n")
+    code, out, err = run_cli(capsys, "abelianize", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read %s: " % bad)
+    assert "0xff" in err
+
+    data = tmp_path / "bad.dat"
+    data.write_bytes(b"phi 1 0 thurston 1 fibered 1\xff\n")
+    code, out, err = run_cli(capsys, "mcmullen", trefoil_file, "--data", str(data))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read %s: " % data)

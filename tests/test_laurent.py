@@ -403,3 +403,18 @@ def test_cyclo_element_field_ops():
     assert (z + 1) - 1 == z
     with pytest.raises(DomainError):
         CycloElement.from_int(5, 0).inverse()
+
+
+def test_cyclotomic_coeffs_rebuild_phi_and_reduce():
+    from alexlab.laurent import CycloElement
+
+    for m in range(1, 41):
+        coeffs = laurent._cyclotomic_coeffs(m)
+        assert len(coeffs) == laurent.euler_phi(m) + 1
+        assert all(isinstance(c, Fraction) for c in coeffs)
+        rebuilt = LaurentPoly._make(1, {(k,): int(c) for k, c in enumerate(coeffs)})
+        assert rebuilt == laurent.cyclotomic_polynomial(m)
+        # zeta_m^m reduces to 1, and zeta_m times its inverse is 1
+        assert CycloElement.from_poly(m, [0] * m + [1]) == 1
+        z = CycloElement.from_poly(m, [0, 1])
+        assert z * z.inverse() == 1
