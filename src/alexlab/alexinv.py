@@ -173,16 +173,31 @@ def _cyclo_size(e: CycloElement):
     return None if e.is_zero() else 0
 
 
+def _pivot_divider():
+    """A `div` for `exactla.bareiss` over Q(zeta_m): every division of a step
+    is by the same previous pivot, so invert it once and multiply."""
+    pivot = inverse = None
+
+    def div(e: CycloElement, d: CycloElement) -> CycloElement:
+        nonlocal pivot, inverse
+        if d is not pivot:
+            pivot, inverse = d, d.inverse()
+        return e * inverse
+
+    return div
+
+
 def cv_dim(F: FoxMatrix, rho: CharacterPoint, kmax: int | None = None) -> CvReport:
     """dim H_1(X; C_rho) and the jump-locus memberships at rho.
 
     For a nontrivial character, dim = s - 1 - rank of the evaluated Fox
-    matrix over the cyclotomic field, computed by `exactla.bareiss` (which
-    divides only from its second step on, so 1- and 2-row matrices invert
-    nothing); the trivial character gives dim = b1 directly.  Membership in
-    V_k is read off as dim >= k: all (s-k)-minors of the evaluated matrix
-    vanish exactly when its rank is below s - k, that is, when
-    s - 1 - rank >= k.
+    matrix over the cyclotomic field, computed by `exactla.bareiss`.  It
+    divides only from its second step on, by the previous pivot, which
+    `_pivot_divider` inverts once per step: a matrix of rank r costs at most
+    r - 1 inversions, and 1- and 2-row matrices none.  The trivial character
+    gives dim = b1 directly.  Membership in V_k is read off as dim >= k:
+    all (s-k)-minors of the evaluated matrix vanish exactly when its rank
+    is below s - k, that is, when s - 1 - rank >= k.
     """
     if len(rho.rho) != F.nvars:
         raise DomainError("character has %d entries but b1 = %d" % (len(rho.rho), F.nvars))
@@ -192,6 +207,6 @@ def cv_dim(F: FoxMatrix, rho: CharacterPoint, kmax: int | None = None) -> CvRepo
         dim = F.abelianization.b1
     else:
         ev = _evaluate_matrix(F, rho)
-        dim = F.cols - 1 - exactla.bareiss(ev, CycloElement.__truediv__, _cyclo_size)[0]
+        dim = F.cols - 1 - exactla.bareiss(ev, _pivot_divider(), _cyclo_size)[0]
     top = kmax if kmax is not None else max(dim, 0)
     return CvReport(dim, tuple(dim >= k for k in range(1, top + 1)))

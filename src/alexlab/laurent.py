@@ -7,12 +7,15 @@ distinguished associate (componentwise-minimal exponent 0 in every variable,
 positive coefficient on the lexicographically largest exponent) so that
 "equal up to a unit" becomes plain equality.
 
-The gcd is computed dependency-free: a heuristic gcd (evaluation at large
-integers, integer gcd, lifting by base-xi digits) certified by exact
-division, with a subresultant fallback (recursion on variables with
-content/primitive-part splitting and univariate subresultant remainder
-sequences).  The number of variables is capped (default 6, override with the
-ALEXLAB_MAX_VARS environment variable).
+Exact division packs each exponent vector into one int (a mixed radix
+per call, first variable most significant, so int order is lex order) and
+takes the leading remainder term from a heap of packed keys; only the
+quotient is unpacked.  The gcd is computed dependency-free: a heuristic gcd
+(evaluation at large integers, integer gcd, lifting by base-xi digits)
+certified by exact division, with a subresultant fallback (recursion on
+variables with content/primitive-part splitting and univariate subresultant
+remainder sequences).  The number of variables is capped (default 6,
+override with the ALEXLAB_MAX_VARS environment variable).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd as igcd, isqrt
 
 from .errors import DomainError, LimitError
@@ -261,36 +265,94 @@ class LaurentPoly:
 # -- exact division ---------------------------------------------------------
 
 
+def _pack(terms, low, radices) -> list[tuple[int, int]]:
+    """(packed exponent, coefficient) pairs of `terms` shifted by -low:
+    mixed radix, first variable most significant, so that int order is lex
+    order while every digit stays below its radix."""
+    out = []
+    for e, c in terms:
+        k = 0
+        for x, m, r in zip(e, low, radices):
+            k = k * r + x - m
+        out.append((k, c))
+    return out
+
+
 def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
-    """p / d when d divides p exactly in the Laurent ring, else None."""
+    """p / d when d divides p exactly in the Laurent ring, else None.
+
+    Both operands are shifted to min exponent 0, where the quotient q of an
+    exact division has 0 <= deg_i q <= deg_i p - deg_i d.  Exponent vectors
+    are packed into one int each (radix deg_i p + 1), so that adding the
+    exponents of a quotient term within those bounds and a term of d never
+    carries.  The remainder is a dict on packed keys, and a max-heap of its
+    keys gives each leading term (Johnson division; Monagan & Pearce,
+    "Polynomial division using dynamic arrays, heaps, and packed exponent
+    vectors", CASC 2007).  A term that cancels stays in the dict as 0 until
+    its key reaches the top, so no key is pushed twice: a deleted key that
+    came back would be.  Only the quotient is unpacked.
+    """
     p._check_ambient(d)
     if d.is_zero():
         raise DomainError("division by zero polynomial")
     if p.is_zero():
         return p
-    sp = p.min_exponents()
-    sd = d.min_exponents()
-    P = dict(p.shift(tuple(-x for x in sp)).terms)
-    D = p._make(p.nvars, dict(d.shift(tuple(-x for x in sd)).terms))
-    dl_e, dl_c = D.terms[-1]
-    quo: dict = {}
-    while P:
-        le = max(P)
-        lc = P[le]
-        qe = tuple(a - b for a, b in zip(le, dl_e))
-        if any(x < 0 for x in qe) or lc % dl_c:
+    pcols = tuple(zip(*(e for e, _ in p.terms)))
+    dcols = tuple(zip(*(e for e, _ in d.terms)))
+    sp = tuple(map(min, pcols))
+    sd = tuple(map(min, dcols))
+    degp = [max(col) - m for col, m in zip(pcols, sp)]
+    bounds = [dp - max(col) + m for dp, col, m in zip(degp, dcols, sd)]
+    if any(b < 0 for b in bounds):
+        return None
+    radices = [dp + 1 for dp in degp]
+    P = dict(_pack(p.terms, sp, radices))
+    D = _pack(d.terms, sd, radices)
+    dl_k, dl_c = D.pop()  # d's terms are sorted, so its leading term is last
+    low_first = list(zip(reversed(radices), reversed(bounds)))
+    heap = [-k for k in P]
+    heapify(heap)
+    push, get = heappush, P.get
+    quo = []
+    while heap:
+        k = -heappop(heap)
+        lc = P.pop(k)
+        if not lc:
+            continue  # the term cancelled after it was pushed
+        if lc % dl_c:
             return None
+        # The digits of k - dl_k are the exponent differences unless some
+        # difference is negative; then the lowest such digit borrows and
+        # lands above its bound (a negative k - dl_k included), so one
+        # check catches both failures.
+        qk = rest = k - dl_k
+        digits = []
+        for r, b in low_first:
+            rest, x = divmod(rest, r)
+            if x > b:
+                return None
+            digits.append(x)
         qc = lc // dl_c
-        quo[qe] = quo.get(qe, 0) + qc
-        for e, c in D.terms:
-            ke = tuple(a + b for a, b in zip(qe, e))
-            nc = P.get(ke, 0) - qc * c
-            if nc:
-                P[ke] = nc
+        quo.append((digits, qc))
+        nq = -qc
+        for dk, dc in D:
+            key = qk + dk
+            c = get(key)
+            if c is None:
+                P[key] = nq * dc
+                push(heap, -key)
             else:
-                P.pop(ke, None)
-    q = LaurentPoly._make(p.nvars, quo)
-    return q.shift(tuple(a - b for a, b in zip(sp, sd)))
+                P[key] = c + nq * dc
+    # quo runs from the lex-largest term down, its digits from the last
+    # variable up.
+    shift = [a - b for a, b in zip(sp, sd)]
+    return LaurentPoly(
+        p.nvars,
+        tuple(
+            (tuple(x + s for x, s in zip(reversed(digits), shift)), c)
+            for digits, c in reversed(quo)
+        ),
+    )
 
 
 def divides(d: LaurentPoly, p: LaurentPoly) -> bool:

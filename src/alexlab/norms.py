@@ -202,12 +202,15 @@ def parse_thurston_data(text: str) -> list[FiberedDatum]:
                 raise ValueError("expected 'phi'")
             i = 1
             phi = []
-            while i < len(toks) and toks[i] not in ("thurston",):
-                phi.append(int(toks[i]))
+            while i < len(toks):
+                try:
+                    phi.append(int(toks[i]))
+                except ValueError:
+                    break
                 i += 1
             if not phi:
                 raise ValueError("empty phi")
-            if toks[i] != "thurston":
+            if i == len(toks) or toks[i] != "thurston":
                 raise ValueError("expected 'thurston'")
             thurston = int(toks[i + 1])
             if thurston < 0:

@@ -19,6 +19,7 @@ from alexlab.fpgroup import (
     Word,
     fox_matrix,
     free_product,
+    free_product_many,
     parse_presentation,
 )
 from alexlab.laurent import CycloElement, LaurentPoly
@@ -304,6 +305,36 @@ def test_cv_dim_inverts_nothing_on_one_row(monkeypatch):
     assert inverses == []
 
 
+def test_cv_dim_inverts_each_pivot_once(monkeypatch):
+    # Each bareiss step divides by the previous pivot; inverting it per
+    # entry made 8 inversions in the second step of fig8*fig8 alone.
+    inverses = []
+    inverse = CycloElement.inverse
+
+    def counted(self):
+        inverses.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(CycloElement, "inverse", counted)
+    groups = [
+        free_product(FIG8.presentation, FIG8.presentation),
+        free_product(SOL3.presentation, TREFOIL.presentation),
+        free_product_many([TREFOIL.presentation] * 4),
+    ]
+    for p in groups:
+        F = fox_matrix(p)
+        assert F.rows >= 4
+        for m in (5, 7):
+            rho = CharacterPoint(tuple(Fraction(i + 1, m) for i in range(F.nvars)))
+            del inverses[:]
+            dim = cv_dim(F, rho).dim
+            rank = F.cols - 1 - dim
+            assert rank >= 3
+            assert len(inverses) <= rank - 1
+            ev = alexinv._evaluate_matrix(F, rho)
+            assert exactla.bareiss(ev, CycloElement.__truediv__, alexinv._cyclo_size)[0] == rank
+
+
 def _count_calls(monkeypatch, name):
     calls = []
     fn = getattr(laurent, name)
@@ -344,3 +375,18 @@ def test_first_order_of_random_five_generator_presentation(monkeypatch):
     )
     assert first_order(fox_matrix(p)) == (2, LaurentPoly.one(2))
     assert prs == []
+
+
+def test_first_order_of_five_trefoils():
+    # Delta^{k0} of a free product is the product of the factors' orders,
+    # each in its own variable: 3^5 terms.  (No timing asserted; this was the
+    # slowest exact-division row of the benchmark ladder.)
+    _, d1 = first_order(fox_matrix(TREFOIL.presentation))
+    k0, delta = first_order(fox_matrix(free_product_many([TREFOIL.presentation] * 5)))
+    expected = LaurentPoly.one(5)
+    for i in range(5):
+        rows = [[1 if j == i else 0] for j in range(5)]
+        expected = expected * laurent.apply_exponent_map(d1, rows, 5)
+    assert k0 == 5
+    assert len(delta.terms) == 243
+    assert delta == expected.canonical()

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alexlab import exactla, laurent
 from alexlab.errors import DomainError, LimitError
@@ -83,6 +84,104 @@ def test_exact_div_laurent_shifts():
     q = laurent.exact_div(p, d)
     assert q == P(1, ((-1,), 1), ((2,), -1))
     assert laurent.exact_div(T * T - ONE, T + C(1, 2)) is None
+
+
+def _reference_exact_div(p, d):
+    """The tuple-keyed division that packed `exact_div` replaced: rescan the
+    remainder for its lex-largest term, one quotient term at a time."""
+    if p.is_zero():
+        return p
+    sp = p.min_exponents()
+    sd = d.min_exponents()
+    P_ = dict(p.shift(tuple(-x for x in sp)).terms)
+    D = LaurentPoly._make(p.nvars, dict(d.shift(tuple(-x for x in sd)).terms))
+    dl_e, dl_c = D.terms[-1]
+    quo = {}
+    while P_:
+        le = max(P_)
+        lc = P_[le]
+        qe = tuple(a - b for a, b in zip(le, dl_e))
+        if any(x < 0 for x in qe) or lc % dl_c:
+            return None
+        qc = lc // dl_c
+        quo[qe] = quo.get(qe, 0) + qc
+        for e, c in D.terms:
+            ke = tuple(a + b for a, b in zip(qe, e))
+            nc = P_.get(ke, 0) - qc * c
+            if nc:
+                P_[ke] = nc
+            else:
+                P_.pop(ke, None)
+    q = LaurentPoly._make(p.nvars, quo)
+    return q.shift(tuple(a - b for a, b in zip(sp, sd)))
+
+
+@st.composite
+def _laurent_polys(draw, nvars, max_terms=5):
+    # Narrow exponent ranges make packed sums meet the radix often.
+    top = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-top, top)] * nvars)
+    coeffs = st.integers(-5, 5).filter(bool)
+    terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=max_terms))
+    return laurent.poly_from_pairs(nvars, terms.items())
+
+
+@st.composite
+def _division_cases(draw):
+    """(p, d, q): p = d*q when q is not None, else an arbitrary p."""
+    nvars = draw(st.integers(0, 4))
+    d = draw(_laurent_polys(nvars))
+    if draw(st.booleans()):
+        q = draw(_laurent_polys(nvars))
+        return d * q, d, q
+    return draw(_laurent_polys(nvars, max_terms=8)), d, None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_division_cases())
+def test_exact_div_matches_reference(case):
+    p, d, q = case
+    got = laurent.exact_div(p, d)
+    assert got == _reference_exact_div(p, d)
+    if q is not None:
+        assert got == q
+
+
+def test_exact_div_rejections_against_reference():
+    x, y, z = (V(3, i) for i in range(3))
+    u, v = V(2, 0), V(2, 1)
+    one = C(3, 1)
+    cases = [
+        # after the quotient term x the remainder leads with x^2*y, so the
+        # next quotient exponent would be (1, 0, -1): packed, z borrows
+        # from y and its digit lands above its bound
+        (x * x * y * z + x * x * y + one, x * y * z + one),
+        # the same in two variables, with (1, -1)
+        (u * u * v + u * u + C(2, 1), u * v + C(2, 1)),
+        # quotient exponent z, above deg_z p - deg_z d = 0: packed with
+        # radix 2, z^2 would carry into y and x*z - y pass as (x - z)*z
+        (x * z - y, x - z),
+        # the same in two variables: y^2 would carry into x
+        (u * v + u.scale(2) + v, u + v),
+        # deg_z d > deg_z p
+        (x + one, z + one),
+        (x * x - one, x * z - one),
+        # divisible, with negative exponents in the quotient
+        ((x * y - z) * (x - z.shift((0, 0, -2))), x * y - z),
+        # only the coefficient fails
+        (x.scale(2) + C(3, 3), x + one),
+    ]
+    for p, d in cases:
+        assert laurent.exact_div(p, d) == _reference_exact_div(p, d)
+    assert [laurent.exact_div(p, d) is None for p, d in cases] == [True] * 6 + [False, True]
+
+
+def test_exact_div_without_variables():
+    assert laurent.exact_div(C(0, 6), C(0, -3)) == C(0, -2)
+    assert laurent.exact_div(C(0, 6), C(0, 4)) is None
+    assert laurent.exact_div(LaurentPoly.zero(0), C(0, 4)) == LaurentPoly.zero(0)
+    with pytest.raises(DomainError):
+        laurent.exact_div(C(0, 6), LaurentPoly.zero(0))
 
 
 def test_divides():

@@ -243,3 +243,10 @@ def test_parse_thurston_data():
     ):
         with pytest.raises(ParseError):
             parse_thurston_data(bad)
+
+
+@pytest.mark.parametrize("line", ["phi 1 0 thurst 1 fibered 1", "phi 1 0"])
+def test_parse_thurston_data_expects_keyword_after_phi(line):
+    # phi ends at its first non-integer token, which must be 'thurston'
+    with pytest.raises(ParseError, match="line 1: expected 'thurston'"):
+        parse_thurston_data(line + "\n")
