@@ -5,6 +5,16 @@ Convention: Delta^k is the gcd of all (s-k) x (s-k) minors of the Fox matrix
 (s = generator count), i.e. the orders of the relative Alexander module.
 This reproduces the classical knot polynomials and the torus-bundle example
 with monodromy trace 3.
+
+Every rank and order is read off one reduction of the Fox matrix, made once
+per matrix and kept on it (`reduction`): unit entries +-t^a are cleared as
+pivots (Crowell-Fox), which keeps every Delta^k and lowers both ranks by
+the pivot count, and the rest splits into the diagonal blocks of its
+nonzero pattern, as the free product of the factors of a connected sum
+does.  Ranks add over the blocks, Delta^{k0} is the product of the blocks'
+first orders, and Delta^k above k0 is the gcd over k_1 + .. + k_n = k of
+the products of the blocks' Delta^{k_b}, since gcd(I J) = gcd(I) gcd(J) in
+the UFD Z[H].
 """
 
 from __future__ import annotations
@@ -60,11 +70,161 @@ class CvReport:
     memberships: tuple[bool, ...]
 
 
-# -- minors -------------------------------------------------------------------
+# -- the reduction ----------------------------------------------------------------
 
 
-# Laplace, not `exactla.bareiss`: on the 1x1..4x4 minors `order_k` meets in
-# the survey benchmark it measured 3-4x faster (zeros skipped, no division).
+class _Block:
+    """One diagonal block M_b of a `FoxReduction`: rows and columns of the
+    shared reduced matrix, with its rank over Frac Z[H] and its orders
+    Delta_b^j (gcd of the (s_b - j)-minors) memoized as they are asked for."""
+
+    def __init__(self, entries, nvars: int, rows, cols):
+        self.entries, self.nvars = entries, nvars
+        self.rows, self.cols = rows, cols
+        self._rank = None
+        self._orders: dict[int, LaurentPoly] = {}
+
+    def rank(self) -> int:
+        if self._rank is None:
+            sub = [[self.entries[i][j] for j in self.cols] for i in self.rows]
+            self._rank = _frac_rank(sub)
+        return self._rank
+
+    def k0(self) -> int:
+        return len(self.cols) - self.rank()
+
+    def order(self, j: int) -> LaurentPoly:
+        """Delta_b^j for j >= k0, the gcd accumulator seeded with the
+        memoized Delta_b^{j-1}: every (s_b - j + 1)-minor lies in the ideal
+        of the (s_b - j)-minors, so Delta_b^j divides Delta_b^{j-1}."""
+        g = self._orders.get(j)
+        if g is None:
+            seed = self._orders.get(j - 1, LaurentPoly.zero(self.nvars))
+            size = len(self.cols) - j
+            if size <= 0:
+                g = LaurentPoly.one(self.nvars)
+            else:
+                g = _minors_gcd(self.entries, self.rows, self.cols, size, seed)
+            self._orders[j] = g
+        return g
+
+
+@dataclass(frozen=True)
+class FoxReduction:
+    """F ~ diag(1, .., 1, M_1, .., M_n) over Z[H] (Crowell & Fox,
+    *Introduction to Knot Theory*, ch. VII).
+
+    `pivots` unit entries +-t^a were cleared: scaling the pivot row by the
+    inverse unit and clearing the pivot column and row by row and column
+    operations gives M ~ diag(1, M'), and the (s-k)-minors of M generate the
+    same ideal as the (s-1-k)-minors of M', so every Delta^k keeps its index.
+    What remains splits into `blocks`, the connected components of its
+    nonzero pattern; zero rows are dropped, and a column without a nonzero
+    entry is a block with no rows (k0 = 1, Delta^1 = 1).  Both ranks (over
+    Frac Z[H], and at a torsion character, where a unit becomes a root of
+    unity) are the pivot count plus the blocks' ranks."""
+
+    pivots: int
+    blocks: tuple[_Block, ...]
+
+    @property
+    def width(self) -> int:
+        """Column count of diag(M_1, .., M_n): s - pivots."""
+        return sum(len(b.cols) for b in self.blocks)
+
+
+def reduction(F: FoxMatrix) -> FoxReduction:
+    """The reduction of F, computed on first use and kept on F."""
+    if F.reduced is None:
+        object.__setattr__(F, "reduced", _reduce(F))
+    return F.reduced
+
+
+def _reduce(F: FoxMatrix) -> FoxReduction:
+    """Clear unit pivots by least Markowitz cost (r - 1)(c - 1), r and c the
+    nonzero counts of the pivot's row and column, ties to the first in
+    row-major order; then split the rest into blocks.  Without a unit entry
+    the blocks index F.entries themselves, uncopied."""
+    entries = F.entries
+    row_nz = [{j for j, e in enumerate(row) if e.terms} for row in entries]
+    units = {(i, j) for i, js in enumerate(row_nz) for j in js if entries[i][j].is_unit()}
+    live_cols = set(range(F.cols))
+    if units:
+        entries = [list(row) for row in entries]
+        col_nz = [set() for _ in live_cols]
+        for i, js in enumerate(row_nz):
+            for j in js:
+                col_nz[j].add(i)
+        while units:
+            i, j = min(
+                units, key=lambda ij: ((len(row_nz[ij[0]]) - 1) * (len(col_nz[ij[1]]) - 1), ij)
+            )
+            _clear_unit(entries, i, j, row_nz, col_nz, units)
+            live_cols.discard(j)
+    pivots = F.cols - len(live_cols)
+    col_rows: dict[int, list[int]] = {j: [] for j in sorted(live_cols)}
+    for i, js in enumerate(row_nz):
+        for j in js:
+            col_rows[j].append(i)
+    blocks, seen = [], set()
+    for j0 in col_rows:
+        if j0 in seen:
+            continue
+        seen.add(j0)
+        rows, cols, stack = set(), [j0], [j0]
+        while stack:
+            for i in col_rows[stack.pop()]:
+                if i not in rows:
+                    rows.add(i)
+                    fresh = row_nz[i] - seen
+                    seen |= fresh
+                    cols += fresh
+                    stack += fresh
+        blocks.append(_Block(entries, F.nvars, tuple(sorted(rows)), tuple(sorted(cols))))
+    return FoxReduction(pivots, tuple(blocks))
+
+
+def _clear_unit(m, i, j, row_nz, col_nz, units):
+    """Eliminate with the unit m[i][j] in place: m[r][c] -= m[r][j] u^-1 m[i][c]
+    for the other nonzeros of its column and row, then retire row i and
+    column j from the nonzero sets and the unit set."""
+    [(a, c0)] = m[i][j].terms
+    shift = tuple(-x for x in a)
+    prow = {c: m[i][c].shift(shift).scale(c0) for c in row_nz[i] if c != j}
+    for r in col_nz[j]:
+        if r == i:
+            continue
+        f = m[r][j]
+        for c, q in prow.items():
+            e = m[r][c] - f * q
+            m[r][c] = e
+            if e.terms:
+                row_nz[r].add(c)
+                col_nz[c].add(r)
+            else:
+                row_nz[r].discard(c)
+                col_nz[c].discard(r)
+            if e.is_unit():
+                units.add((r, c))
+            else:
+                units.discard((r, c))
+        row_nz[r].discard(j)
+        units.discard((r, j))
+    for c in row_nz[i]:
+        col_nz[c].discard(i)
+        units.discard((i, c))
+    row_nz[i] = set()
+    col_nz[j] = set()
+
+
+# -- per-block kernels ---------------------------------------------------------------
+
+
+# Laplace, not `exactla.bareiss`: on every minor the blocks meet in one round
+# of each benchmark pool (seed 0; 1548 minors of sizes 1-4 on survey, 659 on
+# orders_multivar, 96 of size 1 on cli_sidepaths), Laplace took 15.5, 15.1
+# and 0.04 ms and per-minor bareiss 44.6, 52.2 and 1.3 ms (Xeon, Python
+# 3.11.7): zeros are skipped and nothing is divided.
 def _minor_det(entries, rows, cols) -> LaurentPoly:
     """Determinant of the submatrix by Laplace expansion along the first row."""
     nvars = entries[0][0].nvars if entries else 0
@@ -89,37 +249,21 @@ def _minor_det(entries, rows, cols) -> LaurentPoly:
     return det(tuple(rows), tuple(cols))
 
 
-def order_k(F: FoxMatrix, k: int) -> LaurentPoly:
-    """gcd of all (s-k) x (s-k) minors of the Fox matrix.
-
-    The result is canonical (see `LaurentPoly.canonical`), so callers need
-    not normalize it again.  Size <= 0 gives 1; an empty minor set gives 0.
-    Minors are enumerated in lexicographic order and the gcd accumulates
-    with early exit at a unit.
-    """
-    if k < 0:
-        raise DomainError("k must be nonnegative")
-    s = F.cols
-    n = F.nvars
-    size = s - k
-    if size <= 0:
-        return LaurentPoly.one(n)
-    if size > F.rows or size > s:
-        return LaurentPoly.zero(n)
-    one = LaurentPoly.one(n)
-    g = LaurentPoly.zero(n)
-    for rows in combinations(range(F.rows), size):
-        for cols in combinations(range(s), size):
-            m = _minor_det(F.entries, rows, cols)
+def _minors_gcd(entries, rows, cols, size: int, g: LaurentPoly) -> LaurentPoly:
+    """gcd of g (canonical) and the size x size minors on the given rows and
+    columns, enumerated in lexicographic order, with early exit at a unit."""
+    one = LaurentPoly.one(g.nvars)
+    if g == one:
+        return g
+    for rs in combinations(rows, size):
+        for cs in combinations(cols, size):
+            m = _minor_det(entries, rs, cs)
             if m.is_zero():
                 continue
             g = laurent.gcd(g, m)
             if g == one:
                 return g
     return g.canonical()
-
-
-# -- rank over the fraction field ----------------------------------------------
 
 
 def _exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
@@ -133,10 +277,58 @@ def _poly_size(e: LaurentPoly):
     return None if e.is_zero() else (e.total_degree_spread(), len(e.terms))
 
 
+def _frac_rank(m) -> int:
+    """Rank over the fraction field of Z[H], by `exactla.bareiss` with
+    lowest-total-degree pivots."""
+    return exactla.bareiss(m, _exact_div, _poly_size)[0]
+
+
+# -- orders and ranks over the fraction field ------------------------------------------
+
+
+def order_k(F: FoxMatrix, k: int) -> LaurentPoly:
+    """gcd of all (s-k) x (s-k) minors of the Fox matrix.
+
+    The result is canonical (see `LaurentPoly.canonical`), so callers need
+    not normalize it again.  Size <= 0 gives 1; an empty minor set gives 0.
+    Read off the blocks of `reduction(F)`: with k_b = s_b - m_b, a nonzero
+    minor of diag(M_1, .., M_n) is a product of m_b-minors of the blocks,
+    and gcd(I J) = gcd(I) gcd(J) in the UFD Z[H], so
+    Delta^k = gcd over k_1 + .. + k_n = k of prod Delta_b^{k_b}.
+    At k = k0 the only nonzero term is prod Delta_b^{k0_b}: no gcd across
+    blocks.  Above k0 a dynamic program over the blocks takes the gcd.
+    """
+    if k < 0:
+        raise DomainError("k must be nonnegative")
+    R = reduction(F)
+    if k >= R.width:
+        return LaurentPoly.one(F.nvars)
+    excess = k - sum(b.k0() for b in R.blocks)
+    if excess < 0:
+        return LaurentPoly.zero(F.nvars)
+    # acc[e]: gcd over the blocks so far of the products whose indices
+    # exceed those blocks' k0_b by e in total.
+    acc = None
+    for b in R.blocks:
+        k0b = b.k0()
+        opts = [b.order(k0b + x) for x in range(min(excess, len(b.cols) - k0b) + 1)]
+        if acc is None:
+            acc = opts
+            continue
+        nxt = [None] * min(excess + 1, len(acc) + len(opts) - 1)
+        for e, g in enumerate(acc):
+            for x, h in enumerate(opts[: len(nxt) - e]):
+                p = g * h  # canonical, as both factors are
+                nxt[e + x] = p if nxt[e + x] is None else laurent.gcd(nxt[e + x], p)
+        acc = nxt
+    return acc[excess]
+
+
 def rank_over_fractions(F: FoxMatrix) -> int:
-    """Rank of the Fox matrix over the fraction field of Z[H], by
-    `exactla.bareiss` with lowest-total-degree pivots."""
-    return exactla.bareiss([list(row) for row in F.entries], _exact_div, _poly_size)[0]
+    """Rank of the Fox matrix over the fraction field of Z[H]: the pivot
+    count of `reduction(F)` plus its blocks' ranks."""
+    R = reduction(F)
+    return R.pivots + sum(b.rank() for b in R.blocks)
 
 
 def first_order(F: FoxMatrix) -> tuple[int, LaurentPoly]:
@@ -163,12 +355,6 @@ def thickness(F: FoxMatrix) -> int:
 # -- twisted homology at a character ---------------------------------------------
 
 
-def _evaluate_matrix(F: FoxMatrix, rho: CharacterPoint):
-    return [
-        [laurent.evaluate_at_character(e, rho.rho) for e in row] for row in F.entries
-    ]
-
-
 def _cyclo_size(e: CycloElement):
     return None if e.is_zero() else 0
 
@@ -187,14 +373,21 @@ def _pivot_divider():
     return div
 
 
+def _cyclo_rank(m) -> int:
+    """Rank over Q(zeta_m) by `exactla.bareiss`, each step's divisor
+    inverted once by `_pivot_divider`."""
+    return exactla.bareiss(m, _pivot_divider(), _cyclo_size)[0]
+
+
 def cv_dim(F: FoxMatrix, rho: CharacterPoint, kmax: int | None = None) -> CvReport:
     """dim H_1(X; C_rho) and the jump-locus memberships at rho.
 
     For a nontrivial character, dim = s - 1 - rank of the evaluated Fox
-    matrix over the cyclotomic field, computed by `exactla.bareiss`.  It
+    matrix over the cyclotomic field: the pivot count of `reduction(F)`
+    plus the `_cyclo_rank` of each evaluated block.  `exactla.bareiss`
     divides only from its second step on, by the previous pivot, which
-    `_pivot_divider` inverts once per step: a matrix of rank r costs at most
-    r - 1 inversions, and 1- and 2-row matrices none.  The trivial character
+    `_pivot_divider` inverts once per step: a block of rank r costs at most
+    r - 1 inversions, and 1- and 2-row blocks none.  The trivial character
     gives dim = b1 directly.  Membership in V_k is read off as dim >= k:
     all (s-k)-minors of the evaluated matrix vanish exactly when its rank
     is below s - k, that is, when s - 1 - rank >= k.
@@ -206,7 +399,14 @@ def cv_dim(F: FoxMatrix, rho: CharacterPoint, kmax: int | None = None) -> CvRepo
     if rho.is_trivial():
         dim = F.abelianization.b1
     else:
-        ev = _evaluate_matrix(F, rho)
-        dim = F.cols - 1 - exactla.bareiss(ev, _pivot_divider(), _cyclo_size)[0]
+        R = reduction(F)
+        rank = R.pivots
+        for b in R.blocks:
+            ev = [
+                [laurent.evaluate_at_character(b.entries[i][j], rho.rho) for j in b.cols]
+                for i in b.rows
+            ]
+            rank += _cyclo_rank(ev)
+        dim = F.cols - 1 - rank
     top = kmax if kmax is not None else max(dim, 0)
     return CvReport(dim, tuple(dim >= k for k in range(1, top + 1)))

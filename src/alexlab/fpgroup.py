@@ -9,10 +9,18 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from . import exactla
-from .errors import DomainError, ParseError
+from .errors import DomainError, LimitError, ParseError, limit_from_env
 from .laurent import LaurentPoly
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+
+DEFAULT_MAX_LETTERS = 1_000_000
+
+
+def max_fox_letters() -> int:
+    """Letters (sum of |exponent| over all relators) a Fox matrix may expand:
+    default 10^6, override with the ALEXLAB_MAX_LETTERS environment variable."""
+    return limit_from_env("ALEXLAB_MAX_LETTERS", DEFAULT_MAX_LETTERS)
 
 
 @dataclass(frozen=True)
@@ -47,13 +55,6 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         return Word.from_pairs(self.syllables + other.syllables)
-
-    def letters(self):
-        """Expand to single (generator, +1/-1) letters."""
-        for g, e in self.syllables:
-            step = 1 if e > 0 else -1
-            for _ in range(abs(e)):
-                yield g, step
 
     def abelian(self, num_gens: int) -> tuple[int, ...]:
         v = [0] * num_gens
@@ -100,6 +101,8 @@ class FoxMatrix:
     entries: tuple[tuple[LaurentPoly, ...], ...]
     abelianization: AbelianizationData
     warnings: tuple[str, ...] = field(default=(), compare=False)
+    # The block/unit-pivot reduction, set by `alexinv.reduction` on first use.
+    reduced: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def rows(self) -> int:
@@ -232,7 +235,20 @@ def abelianize(p: GroupPresentation) -> AbelianizationData:
 
 def fox_matrix(p: GroupPresentation) -> FoxMatrix:
     """Abelianized Fox derivatives, with the left-action convention
-    d(uv)/dx = du/dx + u dv/dx, dx/dx = 1, d(x^-1)/dx = -x^-1."""
+    d(uv)/dx = du/dx + u dv/dx, dx/dx = 1, d(x^-1)/dx = -x^-1.
+
+    A syllable x^e with prefix u contributes u(1 + x + ... + x^(e-1)) to
+    the x entry, and x^-e contributes -u x^-e (1 + x + ... + x^(e-1)); each
+    entry's terms gather in one dict, so the cost is linear in the letter
+    count, which is checked against `max_fox_letters` before any expansion.
+    """
+    letters = sum(abs(e) for r in p.relators for _, e in r.syllables)
+    limit = max_fox_letters()
+    if letters > limit:
+        raise LimitError(
+            "Fox expansion of %d letters exceeds the limit of %d; "
+            "set ALEXLAB_MAX_LETTERS to raise the limit" % (letters, limit)
+        )
     ab = abelianize(p)
     n = ab.b1
     g = len(p.generators)
@@ -241,19 +257,18 @@ def fox_matrix(p: GroupPresentation) -> FoxMatrix:
         warnings = ("abelianization has rank 0; Fox entries are integers",)
     rows = []
     for r in p.relators:
-        row = [LaurentPoly.zero(n) for _ in range(g)]
-        prefix = [0] * n
-        for gen, step in r.letters():
+        row = [{} for _ in range(g)]
+        prefix = (0,) * n
+        for gen, e in r.syllables:
             img = ab.images[gen]
-            if step == 1:
-                row[gen] = row[gen] + LaurentPoly.monomial(n, tuple(prefix), 1)
-                for i in range(n):
-                    prefix[i] += img[i]
-            else:
-                for i in range(n):
-                    prefix[i] -= img[i]
-                row[gen] = row[gen] + LaurentPoly.monomial(n, tuple(prefix), -1)
-        rows.append(tuple(row))
+            acc = row[gen]
+            after = tuple(u + e * x for u, x in zip(prefix, img))
+            base, sign = (prefix, 1) if e > 0 else (after, -1)
+            for i in range(abs(e)):
+                key = tuple(b + i * x for b, x in zip(base, img))
+                acc[key] = acc.get(key, 0) + sign
+            prefix = after
+        rows.append(tuple(LaurentPoly._make(n, acc) for acc in row))
     return FoxMatrix(tuple(rows), ab, warnings)
 
 

@@ -20,27 +20,20 @@ override with the ALEXLAB_MAX_VARS environment variable).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd as igcd, isqrt
 
-from .errors import DomainError, LimitError
+from .errors import DomainError, LimitError, limit_from_env
 from . import exactla
 
 DEFAULT_MAX_VARS = 6
 
 
 def max_gcd_vars() -> int:
-    raw = os.environ.get("ALEXLAB_MAX_VARS")
-    if raw is None:
-        return DEFAULT_MAX_VARS
-    try:
-        return int(raw)
-    except ValueError:
-        raise LimitError("ALEXLAB_MAX_VARS must be an integer, got %r" % raw)
+    return limit_from_env("ALEXLAB_MAX_VARS", DEFAULT_MAX_VARS)
 
 
 @dataclass(frozen=True)

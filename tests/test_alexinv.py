@@ -3,8 +3,9 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from alexlab import alexinv, exactla, laurent
+from alexlab import alexinv, exactla, laurent, obstruct
 from alexlab.alexinv import (
     CharacterPoint,
     cv_dim,
@@ -168,6 +169,10 @@ def test_hironaka_consistency_trefoil_klein():
         assert mismatches == 0, entry.name
 
 
+def _evaluate_matrix(F, rho):
+    return [[laurent.evaluate_at_character(e, rho.rho) for e in row] for row in F.entries]
+
+
 def _cyclo_minor_det(entries, rows, cols) -> CycloElement:
     """Laplace expansion along the first row, over the cyclotomic field."""
     order = entries[0][0].order
@@ -211,7 +216,7 @@ def test_membership_flags_match_rank_route():
         F = fox_matrix(entry.presentation)
         for rho in _nontrivial_characters(entry.b1, 6)[:15]:
             rep = cv_dim(F, rho, kmax=3)
-            ev = alexinv._evaluate_matrix(F, rho)
+            ev = _evaluate_matrix(F, rho)
             for k, flag in enumerate(rep.memberships, start=1):
                 assert flag == _all_minors_vanish(ev, F.rows, F.cols, F.cols - k), (
                     entry.name,
@@ -307,7 +312,9 @@ def test_cv_dim_inverts_nothing_on_one_row(monkeypatch):
 
 def test_cv_dim_inverts_each_pivot_once(monkeypatch):
     # Each bareiss step divides by the previous pivot; inverting it per
-    # entry made 8 inversions in the second step of fig8*fig8 alone.
+    # entry made 8 inversions in the second step of fig8*fig8 alone.  The
+    # reduction leaves these groups only blocks of one row, which invert
+    # nothing, so the kernel `_cyclo_rank` is checked on the whole matrix.
     inverses = []
     inverse = CycloElement.inverse
 
@@ -326,13 +333,13 @@ def test_cv_dim_inverts_each_pivot_once(monkeypatch):
         assert F.rows >= 4
         for m in (5, 7):
             rho = CharacterPoint(tuple(Fraction(i + 1, m) for i in range(F.nvars)))
+            ev = _evaluate_matrix(F, rho)
             del inverses[:]
-            dim = cv_dim(F, rho).dim
-            rank = F.cols - 1 - dim
+            rank = alexinv._cyclo_rank([list(row) for row in ev])
             assert rank >= 3
             assert len(inverses) <= rank - 1
-            ev = alexinv._evaluate_matrix(F, rho)
             assert exactla.bareiss(ev, CycloElement.__truediv__, alexinv._cyclo_size)[0] == rank
+            assert cv_dim(F, rho).dim == F.cols - 1 - rank
 
 
 def _count_calls(monkeypatch, name):
@@ -390,3 +397,145 @@ def test_first_order_of_five_trefoils():
     assert k0 == 5
     assert len(delta.terms) == 243
     assert delta == expected.canonical()
+
+
+# -- the block / unit-pivot reduction ----------------------------------------------
+
+
+def _reference_order_k(F, k) -> LaurentPoly:
+    """`order_k` as it was before the reduction: the gcd of every (s-k)-minor
+    of the whole matrix, enumerated lexicographically."""
+    n = F.nvars
+    size = F.cols - k
+    if size <= 0:
+        return LaurentPoly.one(n)
+    g = LaurentPoly.zero(n)
+    for rows in combinations(range(F.rows), size):
+        for cols in combinations(range(F.cols), size):
+            m = alexinv._minor_det(F.entries, rows, cols)
+            if not m.is_zero():
+                g = laurent.gcd(g, m)
+    return g.canonical()
+
+
+def _reference_cv_dim(F, rho) -> int:
+    ev = _evaluate_matrix(F, rho)
+    return F.cols - 1 - exactla.bareiss(ev, CycloElement.__truediv__, alexinv._cyclo_size)[0]
+
+
+def _assert_reduction_matches_reference(F, label):
+    for k in range(5):
+        assert order_k(F, k) == _reference_order_k(F, k), (label, k)
+    if F.nvars:
+        for m in (5, 7):
+            rho = CharacterPoint(tuple(Fraction(i + 1, m) for i in range(F.nvars)))
+            assert cv_dim(F, rho).dim == _reference_cv_dim(F, rho), (label, m)
+
+
+def test_reduction_matches_whole_matrix_on_corpus_and_sums():
+    for entry in ALL:
+        _assert_reduction_matches_reference(fox_matrix(entry.presentation), entry.name)
+    for a, b in SUM_PAIRS:
+        F = fox_matrix(free_product(a.presentation, b.presentation))
+        _assert_reduction_matches_reference(F, (a.name, b.name))
+
+
+@st.composite
+def _presentations(draw):
+    g = draw(st.integers(1, 4))
+    syllable = st.tuples(st.integers(0, g - 1), st.sampled_from((-2, -1, 1, 2)))
+    words = st.lists(syllable, min_size=1, max_size=6).map(Word.from_pairs)
+    rels = draw(st.lists(words, min_size=0, max_size=g))
+    return GroupPresentation(tuple("x%d" % i for i in range(g)), tuple(rels))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_presentations())
+def test_reduction_matches_whole_matrix_on_random_presentations(p):
+    F = fox_matrix(p)
+    if F.nvars <= 3:
+        _assert_reduction_matches_reference(F, p)
+
+
+def test_reduction_blocks_and_pivots():
+    # fig8*fig8: one unit pivot per factor, each leaving a 1x1 block and a
+    # generator in no relator (a 0-row block: k0 = 1, Delta = 1).
+    R = alexinv.reduction(fox_matrix(free_product(FIG8.presentation, FIG8.presentation)))
+    assert R.pivots == 2
+    assert [(len(b.rows), len(b.cols)) for b in R.blocks] == [(1, 1), (0, 1), (1, 1), (0, 1)]
+    # A free product of torus knots has no unit entry: one 1x2 block each,
+    # indexing the Fox matrix itself.
+    F = fox_matrix(free_product_many([TREFOIL.presentation] * 3))
+    R = alexinv.reduction(F)
+    assert R.pivots == 0
+    assert [(b.rows, b.cols) for b in R.blocks] == [((0,), (0, 1)), ((1,), (2, 3)), ((2,), (4, 5))]
+    assert all(b.entries is F.entries for b in R.blocks)
+    assert alexinv.reduction(F) is R
+
+
+def _wirtinger_torus_2(n: int) -> GroupPresentation:
+    """Wirtinger presentation of the torus knot T(2, n), n odd: one
+    generator per arc, relators x_{i+1} x_i x_{i+1}^-1 x_{i+2}^-1."""
+    rels = tuple(
+        Word.from_pairs([((i + 1) % n, 1), (i, 1), ((i + 1) % n, -1), ((i + 2) % n, -1)])
+        for i in range(n)
+    )
+    return GroupPresentation(tuple("x%d" % i for i in range(n)), rels)
+
+
+def test_wirtinger_torus_knot_2_21():
+    # 21 x 21; the whole-matrix minors gcd did not finish in 120 s.
+    F = fox_matrix(_wirtinger_torus_2(21))
+    expected = LaurentPoly._make(1, {(i,): (-1) ** i for i in range(21)})
+    assert first_order(F) == (1, expected)
+    assert order_k(F, 2) == ONE
+
+
+def _add_generator(p: GroupPresentation, w: Word) -> GroupPresentation:
+    """Tietze move: a new generator y with the relator y w^-1."""
+    y = len(p.generators)
+    name = "y"
+    while name in p.generators:
+        name += "_"
+    return GroupPresentation(p.generators + (name,), p.relators + (Word(((y, 1),)) * w.inverse(),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([e for e in ALL if e.presentation.generators]),
+    st.lists(st.tuples(st.integers(0, 10), st.sampled_from((-2, -1, 1, 2))), max_size=6),
+)
+def test_tietze_new_generator_keeps_orders(entry, pairs):
+    p = entry.presentation
+    g = len(p.generators)
+    q = _add_generator(p, Word.from_pairs((i % g, e) for i, e in pairs))
+    F, G = fox_matrix(p), fox_matrix(q)
+    b1 = F.nvars
+    assert G.nvars == b1
+    k0 = first_order(F)[0]
+    assert first_order(G)[0] == k0
+    # The bases of H read off the two Smith forms may differ by an
+    # automorphism of Z^b1: express the new one in the old.
+    rows = obstruct._inclusion_rows(G.abelianization.images[:g], F.abelianization.images, b1, b1)
+    for k in range(4):
+        moved = laurent.apply_exponent_map(order_k(G, k), rows, b1).canonical()
+        assert moved == order_k(F, k), (entry.name, k)
+
+
+def test_reduction_runs_once_per_fox_matrix(monkeypatch):
+    reduced = []
+    reduce = alexinv._reduce
+
+    def counted(F):
+        reduced.append(F)
+        return reduce(F)
+
+    monkeypatch.setattr(alexinv, "_reduce", counted)
+    for entry in ALL:
+        del reduced[:]
+        obstruct.kahler_test(entry.presentation)
+        assert len(reduced) == 1, entry.name
+    del reduced[:]
+    obstruct.connected_sum_report([TREFOIL.presentation, FIG8.presentation, SOL3.presentation])
+    assert len(reduced) == 4  # the product and each factor
+    assert len({id(F) for F in reduced}) == 4

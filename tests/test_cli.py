@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -272,6 +273,16 @@ def test_limit_exit_code(capsys, trefoil_file, monkeypatch):
     code, out, err = run_cli(capsys, "delta", trefoil_file, "--k", "1")
     assert code == 2
     assert "limit" in err.lower()
+
+
+def test_letter_budget_exit_code(capsys, tmp_path):
+    big = tmp_path / "big.fp"
+    big.write_text("gens a\nrel a^99999999999999\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "delta", str(big), "--k", "0")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "ALEXLAB_MAX_LETTERS" in err
 
 
 def test_internal_error_exit_code(capsys, trefoil_file, monkeypatch):

@@ -1,7 +1,9 @@
 import random
 
 import pytest
-from alexlab.errors import ParseError
+from hypothesis import given, settings, strategies as st
+
+from alexlab.errors import LimitError, ParseError
 from alexlab.fpgroup import (
     GroupPresentation,
     Word,
@@ -172,6 +174,60 @@ def test_fox_b1_zero_flagged():
 def test_fox_identity_on_corpus():
     for entry in ALL:
         assert_fox_identity(entry.presentation)
+
+
+def _reference_fox_matrix(p):
+    """Entries of `fox_matrix` as first written: one monomial added per
+    letter of each relator."""
+    ab = abelianize(p)
+    n = ab.b1
+    rows = []
+    for r in p.relators:
+        row = [LaurentPoly.zero(n) for _ in p.generators]
+        prefix = [0] * n
+        for gen, e in r.syllables:
+            step = 1 if e > 0 else -1
+            img = ab.images[gen]
+            for _ in range(abs(e)):
+                if step == -1:
+                    prefix = [u - x for u, x in zip(prefix, img)]
+                row[gen] = row[gen] + LaurentPoly.monomial(n, prefix, step)
+                if step == 1:
+                    prefix = [u + x for u, x in zip(prefix, img)]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda g: st.tuples(
+            st.just(g),
+            st.lists(
+                st.lists(st.tuples(st.integers(0, g - 1), st.integers(-6, 6)), max_size=6),
+                max_size=3,
+            ),
+        )
+    )
+)
+def test_fox_matrix_matches_per_letter_reference(case):
+    # Exponents up to 6 with torsion in the abelianization (images that
+    # vanish or repeat) exercise the geometric series and its cancellations.
+    g, rels = case
+    p = GroupPresentation(tuple("x%d" % i for i in range(g)), tuple(Word.from_pairs(r) for r in rels))
+    assert fox_matrix(p).entries == _reference_fox_matrix(p)
+
+
+def test_fox_letter_budget(monkeypatch):
+    with pytest.raises(LimitError, match="99999999999999 letters"):
+        fox_matrix(parse_presentation("gens a\nrel a^99999999999999\n"))
+    monkeypatch.setenv("ALEXLAB_MAX_LETTERS", "11")
+    fox_matrix(parse_presentation("gens a b\nrel a^5 b^-6\n"))
+    with pytest.raises(LimitError, match="12 letters exceeds the limit of 11"):
+        fox_matrix(parse_presentation("gens a b\nrel a^5 b^-6\nrel a\n"))
+    monkeypatch.setenv("ALEXLAB_MAX_LETTERS", "many")
+    with pytest.raises(LimitError, match="ALEXLAB_MAX_LETTERS must be an integer"):
+        fox_matrix(TREFOIL.presentation)
 
 
 # -- free products -------------------------------------------------------------------
