@@ -16,6 +16,11 @@ certified by exact division, with a subresultant fallback (recursion on
 variables with content/primitive-part splitting and univariate subresultant
 remainder sequences).  The number of variables is capped (default 6,
 override with the ALEXLAB_MAX_VARS environment variable).
+
+Univariate cyclotomic work (Phi_d, cyclotomic decomposition, the fields
+Q(zeta_m)) runs on dense coefficient lists, constant term first, with one
+product and one division by a monic divisor, so integers stay integers;
+Fractions enter only in the Euclid steps of `CycloElement.inverse`.
 """
 
 from __future__ import annotations
@@ -363,10 +368,6 @@ def multiply(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 # -- gcd -------------------------------------------------------------------
 
 
-def _int_content(p: LaurentPoly) -> int:
-    return exactla.content(c for _, c in p.terms)
-
-
 def _prem(F: LaurentPoly, G: LaurentPoly, v: int) -> LaurentPoly:
     """Pseudo-remainder of F by G with respect to variable v:
     lc(G)^(deg F - deg G + 1) * F = Q*G + R with deg_v R < deg_v G."""
@@ -642,16 +643,58 @@ def euler_phi(d: int) -> int:
     return out
 
 
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _mul(a, b) -> list:
+    """Product of two dense coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _divmod(a, b) -> tuple[list, list]:
+    """Quotient and remainder of a by a monic b, the remainder padded to
+    deg b coefficients."""
+    n = len(b) - 1
+    r = list(a) + [0] * (n - len(a))
+    low = [(j, y) for j, y in enumerate(b[:n]) if y]
+    q = [0] * max(len(r) - n, 0)
+    for k in reversed(range(len(q))):
+        f = r[k + n]
+        if f:
+            q[k] = f
+            for j, y in low:
+                r[k + j] -= f * y
+    return q, r[:n]
+
+
+def _from_dense(a) -> LaurentPoly:
+    return LaurentPoly._make(1, {(k,): c for k, c in enumerate(a)})
+
+
 @lru_cache(maxsize=None)
+def _cyclotomic_coeffs(d: int) -> tuple[int, ...]:
+    """Coefficients of Phi_d, constant term first: t^d - 1 divided by the
+    Phi_e of its proper divisors e."""
+    num = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            num = _divmod(num, _cyclotomic_coeffs(e))[0]
+    return tuple(num)
+
+
 def cyclotomic_polynomial(d: int) -> LaurentPoly:
     """The d-th cyclotomic polynomial as a univariate LaurentPoly."""
     if d < 1:
         raise DomainError("cyclotomic index must be positive")
-    num = LaurentPoly.monomial(1, (d,)) - LaurentPoly.one(1)
-    for e in range(1, d):
-        if d % e == 0:
-            num = exact_div(num, cyclotomic_polynomial(e))
-    return num
+    return _from_dense(_cyclotomic_coeffs(d))
 
 
 @dataclass(frozen=True)
@@ -682,103 +725,48 @@ def cyclotomic_decompose(p: LaurentPoly) -> CyclotomicDecomposition:
         raise DomainError("cyclotomic_decompose expects a univariate polynomial")
     if p.is_zero():
         raise DomainError("cyclotomic_decompose of the zero polynomial")
-    P = p.canonical()
-    c = _int_content(P)
-    P = exact_div(P, LaurentPoly.constant(1, c))
-    deg = P.degree_in(0)
+    terms = p.canonical().terms
+    c = exactla.content(x for _, x in terms)
+    P = [0] * (terms[-1][0][0] + 1)
+    for (k,), x in terms:
+        P[k] = x // c
     factors = []
-    bound = 2 * deg * deg
-    for d in range(1, bound + 1):
-        if P.degree_in(0) == 0:
+    for d in range(1, 2 * (len(P) - 1) ** 2 + 1):
+        if len(P) == 1:
             break
-        if euler_phi(d) > P.degree_in(0):
+        if euler_phi(d) >= len(P):
             continue
         mult = 0
-        phi_d = cyclotomic_polynomial(d)
-        while True:
-            q = exact_div(P, phi_d)
-            if q is None:
-                break
-            P = q
-            mult += 1
+        q, r = _divmod(P, _cyclotomic_coeffs(d))
+        while not any(r):
+            P, mult = q, mult + 1
+            q, r = _divmod(P, _cyclotomic_coeffs(d))
         if mult:
             factors.append((d, mult))
-    return CyclotomicDecomposition(c, tuple(factors), P)
+    return CyclotomicDecomposition(c, tuple(factors), _from_dense(P))
 
 
 # -- evaluation at torsion characters ----------------------------------------
 
 
-def _qpoly_trim(a: list[Fraction]) -> list[Fraction]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _qpoly_divmod(a: list[Fraction], b: list[Fraction]):
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = _qpoly_trim(list(a))
-    while r and len(r) >= len(b):
-        k = len(r) - len(b)
-        f = r[-1] / b[-1]
-        q[k] = f
-        for i, bc in enumerate(b):
-            r[i + k] -= f * bc
-        _qpoly_trim(r)
-    return _qpoly_trim(q), r
-
-
-def _qpoly_invmod(b: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
-    """Inverse of b modulo `mod` in Q[t] (mod irreducible, b != 0 mod it)."""
-    r0, r1 = list(mod), list(b)
-    s0: list[Fraction] = []
-    s1: list[Fraction] = [Fraction(1)]
-    while _qpoly_trim(list(r1)):
-        q, r = _qpoly_divmod(r0, r1)
-        qs = [Fraction(0)] * (len(q) + len(s1))
-        for i, qc in enumerate(q):
-            for j, sc in enumerate(s1):
-                qs[i + j] += qc * sc
-        s = [x - y for x, y in zip(s0 + [Fraction(0)] * len(qs), qs + [Fraction(0)] * len(s0))]
-        r0, r1 = r1, r
-        s0, s1 = s1, _qpoly_trim(s)
-    if len(r0) != 1:
-        raise DomainError("element not invertible in the cyclotomic field")
-    lead = r0[0]
-    return [x / lead for x in s0]
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic_coeffs(order: int) -> tuple[Fraction, ...]:
-    """Coefficients of Phi_order, constant term first."""
-    phi = cyclotomic_polynomial(order)
-    out = [Fraction(0)] * (phi.degree_in(0) + 1)
-    for (k,), c in phi.terms:
-        out[k] = Fraction(c)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class CycloElement:
-    """An element of the m-th cyclotomic field, reduced modulo Phi_m."""
+    """An element of the m-th cyclotomic field, reduced modulo Phi_m: its
+    coefficients on 1, zeta, .., zeta^(phi(m)-1), ints until a division."""
 
     order: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple
 
     @classmethod
     def from_poly(cls, order: int, coeffs) -> "CycloElement":
-        mod = _cyclotomic_coeffs(order)
-        deg = len(mod) - 1
-        _, r = _qpoly_divmod([Fraction(x) for x in coeffs], mod)
-        r = r + [Fraction(0)] * (deg - len(r))
-        return cls(order, tuple(r))
+        return cls(order, tuple(_divmod(coeffs, _cyclotomic_coeffs(order))[1]))
 
     @classmethod
     def from_int(cls, order: int, c) -> "CycloElement":
-        return cls.from_poly(order, [Fraction(c)])
+        return cls.from_poly(order, [c])
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coeffs)
+        return not any(self.coeffs)
 
     def _lift(self, other):
         if isinstance(other, CycloElement):
@@ -792,30 +780,35 @@ class CycloElement:
         return CycloElement(self.order, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
 
     def __sub__(self, other):
-        o = self._lift(other)
-        return CycloElement(self.order, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self + -self._lift(other)
 
     def __neg__(self):
         return CycloElement(self.order, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         o = self._lift(other)
-        prod = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return CycloElement.from_poly(self.order, prod)
+        return CycloElement.from_poly(self.order, _mul(self.coeffs, o.coeffs))
 
     def inverse(self) -> "CycloElement":
+        """Extended Euclid against Phi_m, each divisor made monic: s1 * self
+        = r1 modulo Phi_m throughout, until the last nonzero r is 1."""
         if self.is_zero():
             raise DomainError("inverse of zero")
-        mod = _cyclotomic_coeffs(self.order)
-        deg = len(mod) - 1
-        inv = _qpoly_invmod(_qpoly_trim(list(self.coeffs)), mod)
-        inv = inv + [Fraction(0)] * (deg - len(inv))
-        return CycloElement(self.order, tuple(inv[:deg]))
+        r0, r1 = list(_cyclotomic_coeffs(self.order)), _trim(list(self.coeffs))
+        s0, s1 = [], [1]
+        while r1:
+            if r1[-1] != 1:
+                u = Fraction(1, r1[-1])
+                r1 = [x * u for x in r1]
+                s1 = [x * u for x in s1]
+            q, r = _divmod(r0, r1)
+            s = [-x for x in _mul(q, s1)]
+            for i, x in enumerate(s0):
+                s[i] += x
+            r0, r1, s0, s1 = r1, _trim(r), s1, s
+        if len(r0) != 1:
+            raise DomainError("element not invertible in the cyclotomic field")
+        return CycloElement.from_poly(self.order, s0)
 
     def __truediv__(self, other):
         return self * self._lift(other).inverse()
@@ -826,12 +819,6 @@ class CycloElement:
         if not isinstance(other, CycloElement):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __repr__(self):
-        return "CycloElement(order=%d, coeffs=%s)" % (self.order, list(self.coeffs))
 
 
 def character_order(rho) -> int:
@@ -849,13 +836,9 @@ def evaluate_at_character(p: LaurentPoly, rho) -> CycloElement:
         raise DomainError("character length does not match variable count")
     m = character_order(rho)
     nums = [int(x * m) % m for x in rho]
-    acc: dict[int, int] = {}
+    coeffs = [0] * m
     for e, c in p.terms:
-        k = sum(ei * ai for ei, ai in zip(e, nums)) % m
-        acc[k] = acc.get(k, 0) + c
-    coeffs = [Fraction(0)] * (max(acc) + 1 if acc else 1)
-    for k, c in acc.items():
-        coeffs[k] = Fraction(c)
+        coeffs[sum(ei * ai for ei, ai in zip(e, nums)) % m] += c
     return CycloElement.from_poly(m, coeffs)
 
 

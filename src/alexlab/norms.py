@@ -146,7 +146,10 @@ def hull_vertices(points) -> list[tuple]:
 
 
 def support_polytope(delta: LaurentPoly) -> NormBall:
-    """Vertices of the difference hull of the support, exact rationals."""
+    """Vertices of the difference hull of the support, exact rationals.
+
+    conv(S - S) = conv S + conv(-S), whose vertices are differences of
+    vertices of conv S, so only the hull vertices of S are paired."""
     if delta.is_zero():
         raise DomainError("support polytope of the zero polynomial")
     if delta.nvars > SUPPORT_POLYTOPE_MAX_RANK:
@@ -154,10 +157,8 @@ def support_polytope(delta: LaurentPoly) -> NormBall:
             "support_polytope supports rank <= %d (have %d)"
             % (SUPPORT_POLYTOPE_MAX_RANK, delta.nvars)
         )
-    supp = delta.support()
-    diffs = {
-        tuple(a - b for a, b in zip(h, g)) for h, g in iproduct(supp, supp)
-    }
+    vs = hull_vertices(delta.support())
+    diffs = {tuple(a - b for a, b in zip(h, g)) for h, g in iproduct(vs, vs)}
     verts = hull_vertices(diffs)
     return NormBall(tuple(tuple(Fraction(x) for x in v) for v in verts), "support")
 

@@ -14,7 +14,7 @@ from alexlab.alexinv import (
     order_sequence,
     thickness,
 )
-from alexlab.errors import DomainError
+from alexlab.errors import DomainError, LimitError
 from alexlab.fpgroup import (
     GroupPresentation,
     Word,
@@ -308,6 +308,30 @@ def test_cv_dim_inverts_nothing_on_one_row(monkeypatch):
         assert cv_dim(F, CharacterPoint((Fraction(1, 6),))).dim == 1
         assert cv_dim(F, CharacterPoint((Fraction(1, 60),))).dim == 0
     assert inverses == []
+
+
+def test_cv_dim_makes_no_exact_div(monkeypatch):
+    from alexlab.builders import torus_knot
+
+    calls = []
+    exact_div = laurent.exact_div
+    monkeypatch.setattr(
+        laurent, "exact_div", lambda p, d: calls.append(d) or exact_div(p, d)
+    )
+    for p, q in ((2, 3), (3, 4), (2, 5)):
+        F = fox_matrix(torus_knot(p, q))
+        for m in (60, 210, 600):
+            laurent._cyclotomic_coeffs.cache_clear()
+            cv_dim(F, CharacterPoint((Fraction(1, m),)))
+    assert calls == []
+
+
+def test_cv_dim_rejects_large_orders():
+    F = fox_matrix(TREFOIL.presentation)
+    with pytest.raises(LimitError):
+        cv_dim(F, CharacterPoint((Fraction(1, alexinv.CV_MAX_ORDER + 1),)))
+    assert cv_dim(F, CharacterPoint((Fraction(1, alexinv.CV_MAX_ORDER),))).dim == 0
+    assert cv_dim(F, CharacterPoint((Fraction(0),))).dim == 1
 
 
 def test_cv_dim_inverts_each_pivot_once(monkeypatch):

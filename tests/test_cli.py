@@ -285,6 +285,18 @@ def test_letter_budget_exit_code(capsys, tmp_path):
     assert err.count("\n") == 1 and "ALEXLAB_MAX_LETTERS" in err
 
 
+def test_cv_order_limit_exit_code(capsys, trefoil_file):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "cv", trefoil_file, "--rho", "1/30030")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "30030" in err
+    for m in (60, 210, 600, 2310):
+        code, out, err = run_cli(capsys, "cv", trefoil_file, "--rho", "1/%d" % m)
+        assert (code, err) == (0, ""), m
+        assert out.startswith("dim: ")
+
+
 def test_internal_error_exit_code(capsys, trefoil_file, monkeypatch):
     def broken(args):
         raise RuntimeError("inexact division")

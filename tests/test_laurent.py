@@ -466,6 +466,68 @@ def test_cyclotomic_decompose_reassembles_and_remainder_is_clean():
                     assert laurent.exact_div(rem, laurent.cyclotomic_polynomial(d)) is None
 
 
+def _to_sympy(sympy, x, p):
+    return sympy.Poly(
+        {(k,): c for (k,), c in p.canonical().terms}, x, domain=sympy.ZZ
+    )
+
+
+def test_cyclotomic_polynomial_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for d in list(range(1, 301)) + [420, 600, 2310]:
+        theirs = sympy.Poly(sympy.cyclotomic_poly(d, x), x)
+        assert _to_sympy(sympy, x, laurent.cyclotomic_polynomial(d)) == theirs, d
+
+
+def test_cyclotomic_decompose_against_sympy():
+    """Content, (d, mult) factors and remainder against sympy's factor_list,
+    on random products of Phi_d (d <= 60, multiplicity <= 3) times a content
+    and sometimes a factor off the unit circle."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    want_phi = {
+        sympy.Poly(sympy.cyclotomic_poly(d, x), x): d for d in range(1, 61)
+    }
+    rng = random.Random(2310)
+    for _ in range(30):
+        p = C(1, rng.choice([1, 2, 6, 35]))
+        for _ in range(rng.randint(0, 3)):
+            p = p * laurent.cyclotomic_polynomial(rng.randint(1, 60)) ** rng.randint(1, 3)
+        if rng.random() < 0.4:
+            p = p * laurent.poly_from_pairs(
+                1, [((0,), rng.choice([-3, 2, 5])), ((1,), rng.randint(-4, 4)), ((2,), 1)]
+            )
+        dec = laurent.cyclotomic_decompose(p)
+        content, factors = _to_sympy(sympy, x, p).factor_list()
+        want = {}
+        rem = sympy.Poly(1, x, domain=sympy.ZZ)
+        for f, mult in factors:
+            if f in want_phi:
+                want[want_phi[f]] = mult
+            else:
+                rem = rem * f**mult
+        assert dec.content == content
+        assert dec.factors == tuple(sorted(want.items()))
+        assert _to_sympy(sympy, x, dec.remainder) == rem
+
+
+def test_cyclotomic_layer_makes_no_exact_div(monkeypatch):
+    from alexlab import alexinv, builders
+    from alexlab.fpgroup import fox_matrix
+
+    _, delta = alexinv.first_order(fox_matrix(builders.torus_knot(17, 19)))
+    laurent._cyclotomic_coeffs.cache_clear()
+    calls = []
+    exact_div = laurent.exact_div
+    monkeypatch.setattr(
+        laurent, "exact_div", lambda p, d: calls.append(d) or exact_div(p, d)
+    )
+    dec = laurent.cyclotomic_decompose(delta)
+    assert (dec.factors, dec.is_cyclotomic_product) == (((323, 1),), True)
+    assert calls == []
+
+
 # -- evaluation at characters ----------------------------------------------------------
 
 
@@ -510,10 +572,33 @@ def test_cyclotomic_coeffs_rebuild_phi_and_reduce():
     for m in range(1, 41):
         coeffs = laurent._cyclotomic_coeffs(m)
         assert len(coeffs) == laurent.euler_phi(m) + 1
-        assert all(isinstance(c, Fraction) for c in coeffs)
+        assert all(isinstance(c, int) for c in coeffs)
         rebuilt = LaurentPoly._make(1, {(k,): int(c) for k, c in enumerate(coeffs)})
         assert rebuilt == laurent.cyclotomic_polynomial(m)
         # zeta_m^m reduces to 1, and zeta_m times its inverse is 1
         assert CycloElement.from_poly(m, [0] * m + [1]) == 1
         z = CycloElement.from_poly(m, [0, 1])
         assert z * z.inverse() == 1
+
+
+def test_evaluated_integer_polynomials_stay_integral():
+    rng = random.Random(60)
+    for _ in range(30):
+        nv = rng.randint(1, 3)
+        rho = [Fraction(rng.randint(0, 9), rng.choice([12, 35, 60])) for _ in range(nv)]
+        ep = laurent.evaluate_at_character(random_poly(rng, nv), rho)
+        eq = laurent.evaluate_at_character(random_poly(rng, nv), rho)
+        for z in (ep, eq, ep * eq, ep * eq - ep + 3):
+            assert all(type(c) is int for c in z.coeffs)
+
+
+def test_inverse_at_orders_60_210_600():
+    from alexlab.laurent import CycloElement
+
+    rng = random.Random(600)
+    for m in (60, 210, 600):
+        for n in (2, 5, 9):
+            z = CycloElement.from_poly(m, [rng.randint(-3, 3) for _ in range(n)] + [1])
+            assert z * z.inverse() == 1
+    dense = CycloElement.from_poly(210, [rng.randint(-2, 2) for _ in range(60)])
+    assert dense * dense.inverse() == 1

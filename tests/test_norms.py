@@ -11,6 +11,7 @@ from alexlab.norms import (
     CohomologyClass,
     FiberedDatum,
     alexander_norm,
+    hull_vertices,
     mcmullen_check,
     parse_thurston_data,
     support_polytope,
@@ -132,6 +133,19 @@ def test_support_polytope_examples():
 
     ball = support_polytope(LaurentPoly.constant(2, 9))
     assert ball.vertices == ((Fraction(0), Fraction(0)),)
+
+
+def test_support_polytope_matches_all_pairs_route():
+    """Pairing only the hull vertices of S gives the vertices of the hull of
+    all of S - S, on random supports in 2-4 variables."""
+    rng = random.Random(8)
+    for case in range(24):
+        nv = 2 + case % 3
+        supp = {tuple(rng.randint(-2, 2) for _ in range(nv)) for _ in range(rng.randint(1, 7))}
+        delta = P(nv, *((e, rng.choice((-2, -1, 1, 3))) for e in supp))
+        diffs = {tuple(a - b for a, b in zip(h, g)) for h in supp for g in supp}
+        want = tuple(tuple(Fraction(x) for x in v) for v in hull_vertices(diffs))
+        assert support_polytope(delta).vertices == want, supp
 
 
 def test_support_polytope_errors():
