@@ -355,8 +355,10 @@ def thickness(F: FoxMatrix) -> int:
 # -- twisted homology at a character ---------------------------------------------
 
 
-# Largest character order for `cv_dim`: Phi_m costs ~m^2 for an m with many
-# divisors (trefoil: 0.7 s at m = 4620, 2.4 s at m = 9240).
+# Largest character order for `cv_dim`.  Phi_m is one linear pass per
+# squarefree divisor (trefoil: 3 ms cold at m = 9240), but the Euclid over Q
+# in `CycloElement.inverse` swells on a dense pivot (1 s at m = 600, 36 s
+# at m = 2310), so the bound stays.
 CV_MAX_ORDER = 5000
 
 

@@ -20,7 +20,8 @@ override with the ALEXLAB_MAX_VARS environment variable).
 Univariate cyclotomic work (Phi_d, cyclotomic decomposition, the fields
 Q(zeta_m)) runs on dense coefficient lists, constant term first, with one
 product and one division by a monic divisor, so integers stay integers;
-Fractions enter only in the Euclid steps of `CycloElement.inverse`.
+Phi_d itself is a Moebius product of binomials 1 - t^k, one linear pass
+each.  Fractions enter only in the Euclid steps of `CycloElement.inverse`.
 """
 
 from __future__ import annotations
@@ -629,17 +630,53 @@ def line_support(p: LaurentPoly) -> UnivariateForm | None:
 # -- cyclotomic machinery ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def euler_phi(d: int) -> int:
-    n, out, p = d, d, 2
-    while p * p <= n:
-        if n % p == 0:
-            out -= out // p
-            while n % p == 0:
-                n //= p
+def _prime_factors(d: int) -> list[int]:
+    """The distinct primes dividing d, increasing, by trial division."""
+    primes, p = [], 2
+    while p * p <= d:
+        if d % p == 0:
+            primes.append(p)
+            while d % p == 0:
+                d //= p
         p += 1
-    if n > 1:
-        out -= out // n
+    if d > 1:
+        primes.append(d)
+    return primes
+
+
+def euler_phi(d: int) -> int:
+    out = d
+    for p in _prime_factors(d):
+        out -= out // p
+    return out
+
+
+def _small_phi(n: int) -> list[tuple[int, int]]:
+    """Every (d, phi(d)) with phi(d) <= n, d increasing: a depth-first
+    search over prime powers, since phi(prod p^k) = prod p^(k-1) (p - 1)
+    and only primes p <= n + 1 can divide such a d."""
+    sieve = bytearray([1]) * (n + 2)
+    primes = []
+    for p in range(2, n + 2):
+        if sieve[p]:
+            primes.append(p)
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 2, p)))
+    out = []
+
+    def extend(d, phi, start):
+        out.append((d, phi))
+        for i in range(start, len(primes)):
+            p = primes[i]
+            q, f = d * p, phi * (p - 1)
+            if f > n:
+                break
+            while f <= n:
+                extend(q, f, i + 1)
+                q, f = q * p, f * p
+
+    if n >= 1:
+        extend(1, 1, 0)
+    out.sort()
     return out
 
 
@@ -681,13 +718,32 @@ def _from_dense(a) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def _cyclotomic_coeffs(d: int) -> tuple[int, ...]:
-    """Coefficients of Phi_d, constant term first: t^d - 1 divided by the
-    Phi_e of its proper divisors e."""
-    num = [-1] + [0] * (d - 1) + [1]
-    for e in range(1, d):
-        if d % e == 0:
-            num = _divmod(num, _cyclotomic_coeffs(e))[0]
-    return tuple(num)
+    """Coefficients of Phi_d, constant term first.  Phi_d(t) = Phi_r(t^(d/r))
+    for the squarefree kernel r of d; for r > 1, Phi_r is the Moebius product
+    of the binomials 1 - t^(r/e) over the divisors e of r, taken as power
+    series mod t^(phi(r) + 1), one linear pass per binomial."""
+    primes = _prime_factors(d)
+    if not primes:
+        return (-1, 1)
+    divisors = [(1, 1)]  # (e, mu(e)) over the squarefree divisors of d
+    phi = 1
+    for p in primes:
+        divisors += [(e * p, -mu) for e, mu in divisors]
+        phi *= p - 1
+    r = divisors[-1][0]
+    c = [1] + [0] * phi
+    for e, mu in divisors:
+        a = r // e
+        if mu > 0:  # times 1 - t^a
+            c[a:] = [x - y for x, y in zip(c[a:], c)]
+        else:  # divided by 1 - t^a: c[i] += c[i - a], a block of a at a time
+            for s in range(a, phi + 1, a):
+                c[s : s + a] = [x + y for x, y in zip(c[s : s + a], c[s - a : s])]
+    if d > r:
+        spread = [0] * (phi * (d // r) + 1)
+        spread[:: d // r] = c
+        c = spread
+    return tuple(c)
 
 
 def cyclotomic_polynomial(d: int) -> LaurentPoly:
@@ -719,8 +775,8 @@ class CyclotomicDecomposition:
 def cyclotomic_decompose(p: LaurentPoly) -> CyclotomicDecomposition:
     """Split a nonzero univariate polynomial into integer content, cyclotomic
     factors found by exhaustive trial division, and a cyclotomic-free
-    remainder.  Trial indices run over all d with phi(d) <= degree, which
-    is covered by d <= 2*deg^2 since phi(d) >= sqrt(d/2)."""
+    remainder.  Trial indices are exactly the d with phi(d) <= degree, in
+    increasing order."""
     if p.nvars != 1:
         raise DomainError("cyclotomic_decompose expects a univariate polynomial")
     if p.is_zero():
@@ -731,10 +787,10 @@ def cyclotomic_decompose(p: LaurentPoly) -> CyclotomicDecomposition:
     for (k,), x in terms:
         P[k] = x // c
     factors = []
-    for d in range(1, 2 * (len(P) - 1) ** 2 + 1):
+    for d, phi in _small_phi(len(P) - 1):
         if len(P) == 1:
             break
-        if euler_phi(d) >= len(P):
+        if phi >= len(P):
             continue
         mult = 0
         q, r = _divmod(P, _cyclotomic_coeffs(d))

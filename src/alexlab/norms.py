@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from math import lcm
 
 from .errors import DomainError, LimitError, ParseError
 from .laurent import LaurentPoly
@@ -73,64 +74,66 @@ def alexander_norm(delta: LaurentPoly, phi: CohomologyClass) -> int:
 
 
 def _phase1_feasible(cols, rhs) -> bool:
-    """Is {x >= 0 : A x = b} nonempty?  A given by columns, exact rationals,
-    phase-1 simplex with Bland's rule."""
-    m = len(rhs)
-    n = len(cols)
-    T = [[Fraction(cols[j][i]) for j in range(n)] for i in range(m)]
-    b = [Fraction(x) for x in rhs]
-    for i in range(m):
-        if b[i] < 0:
-            T[i] = [-x for x in T[i]]
-            b[i] = -b[i]
-    # artificial variables n..n+m-1 start as the basis
-    for i in range(m):
-        T[i] += [Fraction(1 if k == i else 0) for k in range(m)]
+    """Is {x >= 0 : A x = b} nonempty?  A given by integer columns.
+
+    Phase-1 simplex with Bland's rule, the artificial variables n..n+m-1
+    the starting basis, on a fraction-free tableau (Edmonds' integer-
+    preserving pivots, Bareiss's exact-division rule): the true tableau
+    is T / D for the current pivot D > 0, so a pivot p > 0 updates each
+    other row to (p row - row[e] prow) // D, exactly, and D becomes p.
+    The reduced costs are one more such row; an artificial leaves the
+    basis for good, so only structural columns are kept.  Feasible iff
+    the objective entry reaches 0."""
+    m, n = len(rhs), len(cols)
+    rows = []
+    for i, b in enumerate(rhs):
+        row = [col[i] for col in cols] + [b]
+        rows.append([-x for x in row] if b < 0 else row)
+    cost = [-sum(col) for col in zip(*rows)]
     basis = list(range(n, n + m))
-    cost = [Fraction(0)] * n + [Fraction(1)] * m
-
-    while True:
-        # reduced costs r_j = c_j - sum_i c_basis[i] * T[i][j]
-        entering = None
-        for j in range(n + m):
-            r = cost[j] - sum(cost[basis[i]] * T[i][j] for i in range(m))
-            if r < 0:
-                entering = j
-                break
-        if entering is None:
-            break
-        leaving = None
-        best = None
-        for i in range(m):
-            if T[i][entering] > 0:
-                ratio = b[i] / T[i][entering]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
-        if leaving is None:
-            break  # unbounded; cannot happen for phase 1 but keeps us safe
-        piv = T[leaving][entering]
-        T[leaving] = [x / piv for x in T[leaving]]
-        b[leaving] /= piv
-        for i in range(m):
-            if i != leaving and T[i][entering] != 0:
-                f = T[i][entering]
-                T[i] = [x - f * y for x, y in zip(T[i], T[leaving])]
-                b[i] -= f * b[leaving]
-        basis[leaving] = entering
-
-    objective = sum(cost[basis[i]] * b[i] for i in range(m))
-    return objective == 0
+    D = 1
+    while cost[-1]:
+        e = next((j for j in range(n) if cost[j] < 0), None)
+        if e is None:
+            return False
+        # ratio test b_i / a_i by cross-multiplication, ties to the least basic index
+        r = None
+        for i, row in enumerate(rows):
+            a = row[e]
+            if a > 0:
+                if r is not None:
+                    lhs, rhs_r = row[-1] * rows[r][e], rows[r][-1] * a
+                    if lhs > rhs_r or (lhs == rhs_r and basis[i] > basis[r]):
+                        continue
+                r = i
+        if r is None:
+            return False  # unbounded; cannot happen for phase 1 but keeps us safe
+        prow = rows[r]
+        p = prow[e]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[e]
+                rows[i] = [(p * x - f * y) // D for x, y in zip(row, prow)]
+        f = cost[e]
+        cost = [(p * x - f * y) // D for x, y in zip(cost, prow)]
+        D = p
+        basis[r] = e
+    return True
 
 
 def in_convex_hull(point, points) -> bool:
-    """Exact membership of `point` in the convex hull of `points`."""
-    pts = list(points)
+    """Exact membership of `point` in the convex hull of `points`; int or
+    Fraction coordinates, scaled by one common denominator first."""
+    pts = [tuple(q) for q in points]
     if not pts:
         return False
-    cols = [tuple(q) + (1,) for q in pts]
-    rhs = tuple(point) + (1,)
-    return _phase1_feasible(cols, rhs)
+    point = tuple(point)
+    L = lcm(*(x.denominator for q in pts + [point] for x in q))
+    if L != 1:
+        point = tuple(x.numerator * (L // x.denominator) for x in point)
+        pts = [tuple(x.numerator * (L // x.denominator) for x in q) for q in pts]
+    cols = [q + (1,) for q in pts]
+    return _phase1_feasible(cols, point + (1,))
 
 
 def hull_vertices(points) -> list[tuple]:

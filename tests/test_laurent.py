@@ -512,6 +512,45 @@ def test_cyclotomic_decompose_against_sympy():
         assert _to_sympy(sympy, x, dec.remainder) == rem
 
 
+def test_small_phi_lists_exactly_the_indices_with_phi_at_most_n():
+    for n in (0, 1, 2, 3, 4, 11, 48, 120):
+        want = [(d, laurent.euler_phi(d)) for d in range(1, 2 * n * n + 3)]
+        assert laurent._small_phi(n) == [(d, f) for d, f in want if f <= n], n
+
+
+def test_euler_phi_keeps_no_cache():
+    assert [laurent.euler_phi(d) for d in (1, 2, 9, 12, 97, 2310)] == [1, 1, 6, 4, 96, 480]
+    assert not hasattr(laurent.euler_phi, "cache_info")
+
+
+def test_cyclotomic_coeffs_multiply_back_to_binomial():
+    """prod over e | d of Phi_e is t^d - 1, for every d up to 300 and a few
+    orders with many divisors or a repeated prime."""
+    for d in list(range(1, 301)) + [1024, 1260, 2310]:
+        prod = [1]
+        for e in range(1, d + 1):
+            if d % e == 0:
+                prod = laurent._mul(prod, laurent._cyclotomic_coeffs(e))
+        assert prod == [-1] + [0] * (d - 1) + [1], d
+
+
+def test_cyclotomic_decompose_degree_200_is_fast():
+    """t^200 + 3t + 1 has no cyclotomic factor; only the d with
+    phi(d) <= 200 are tried, each Phi_d built cold (best of three cold
+    runs, against a shared machine's wandering speed)."""
+    import time
+
+    p = T**200 + C(1, 3) * T + ONE
+    times = []
+    for _ in range(3):
+        laurent._cyclotomic_coeffs.cache_clear()
+        start = time.perf_counter()
+        dec = laurent.cyclotomic_decompose(p)
+        times.append(time.perf_counter() - start)
+        assert (dec.content, dec.factors, dec.remainder) == (1, (), p)
+    assert min(times) < 0.1, times
+
+
 def test_cyclotomic_layer_makes_no_exact_div(monkeypatch):
     from alexlab import alexinv, builders
     from alexlab.fpgroup import fox_matrix

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from alexlab import alexinv, fpgroup, laurent
+from alexlab import alexinv, fpgroup, laurent, norms
 from alexlab.errors import DomainError, LimitError, ParseError
 from alexlab.laurent import LaurentPoly
 from alexlab.norms import (
@@ -12,6 +12,7 @@ from alexlab.norms import (
     FiberedDatum,
     alexander_norm,
     hull_vertices,
+    in_convex_hull,
     mcmullen_check,
     parse_thurston_data,
     support_polytope,
@@ -111,6 +112,197 @@ def conv_member_oracle(p, pts):
             if lam is not None and all(x >= 0 for x in lam):
                 return True
     return False
+
+
+def _reference_phase1_feasible(cols, rhs) -> bool:
+    """The Fraction tableau that `norms._phase1_feasible` replaced: phase 1
+    with artificial variables and Bland's rule, reduced costs recomputed on
+    every iteration."""
+    m = len(rhs)
+    n = len(cols)
+    T = [[Fraction(cols[j][i]) for j in range(n)] for i in range(m)]
+    b = [Fraction(x) for x in rhs]
+    for i in range(m):
+        if b[i] < 0:
+            T[i] = [-x for x in T[i]]
+            b[i] = -b[i]
+    for i in range(m):
+        T[i] += [Fraction(1 if k == i else 0) for k in range(m)]
+    basis = list(range(n, n + m))
+    cost = [Fraction(0)] * n + [Fraction(1)] * m
+    while True:
+        entering = None
+        for j in range(n + m):
+            r = cost[j] - sum(cost[basis[i]] * T[i][j] for i in range(m))
+            if r < 0:
+                entering = j
+                break
+        if entering is None:
+            break
+        leaving = None
+        best = None
+        for i in range(m):
+            if T[i][entering] > 0:
+                ratio = b[i] / T[i][entering]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving is None:
+            break
+        piv = T[leaving][entering]
+        T[leaving] = [x / piv for x in T[leaving]]
+        b[leaving] /= piv
+        for i in range(m):
+            if i != leaving and T[i][entering] != 0:
+                f = T[i][entering]
+                T[i] = [x - f * y for x, y in zip(T[i], T[leaving])]
+                b[i] -= f * b[leaving]
+        basis[leaving] = entering
+    return sum(cost[basis[i]] * b[i] for i in range(m)) == 0
+
+
+def _reference_in_convex_hull(point, points) -> bool:
+    pts = list(points)
+    if not pts:
+        return False
+    return _reference_phase1_feasible([tuple(q) + (1,) for q in pts], tuple(point) + (1,))
+
+
+def _reference_hull_vertices(points):
+    pts = sorted(set(tuple(x) for x in points))
+    return [
+        p
+        for i, p in enumerate(pts)
+        if not _reference_in_convex_hull(p, pts[:i] + pts[i + 1 :])
+    ]
+
+
+def _random_point_sets(rng):
+    """Seeded point sets in 1-4 dimensions: general position, duplicates,
+    collinear, coplanar, lower-dimensional and single points, with
+    negative coordinates throughout."""
+    out = []
+    for case in range(100):
+        dim = 1 + case % 4
+        kind = case // 4 % 5
+
+        def vec(lo=-4, hi=4):
+            return tuple(rng.randint(lo, hi) for _ in range(dim))
+
+        if kind == 0:  # general, small box
+            pts = [vec() for _ in range(rng.randint(2, 9))]
+        elif kind == 1:  # duplicates drawn from a small pool
+            pool = [vec() for _ in range(rng.randint(1, 4))]
+            pts = [rng.choice(pool) for _ in range(rng.randint(2, 8))]
+        elif kind == 2:  # collinear
+            base, step = vec(), vec(-2, 2)
+            pts = [tuple(b + k * s for b, s in zip(base, step)) for k in rng.sample(range(-5, 6), rng.randint(2, 6))]
+        elif kind == 3:  # coplanar: an affine plane (a line in dimension 1)
+            base, u, v = vec(), vec(-2, 2), vec(-2, 2)
+            pts = [
+                tuple(b + s * x + t * y for b, x, y in zip(base, u, v))
+                for s, t in ((rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(2, 8)))
+            ]
+        else:  # a single point, or a set inside a coordinate hyperplane
+            if rng.random() < 0.4:
+                pts = [vec()]
+            else:
+                c = rng.randint(-3, 3)
+                pts = [vec()[:-1] + (c,) for _ in range(rng.randint(2, 7))]
+        out.append(pts)
+    return out
+
+
+def _queries(rng, pts):
+    dim = len(pts[0])
+    qs = [tuple(rng.randint(-5, 5) for _ in range(dim)) for _ in range(3)]
+    qs += list(pts[:3])
+    a, b = rng.choice(pts), rng.choice(pts)
+    qs.append(tuple(Fraction(x + y, 2) for x, y in zip(a, b)))
+    qs.append(tuple(Fraction(2 * x - y, 1) + Fraction(1, 3) for x, y in zip(a, b)))
+    return qs
+
+
+def test_phase1_kernel_matches_fraction_reference():
+    """Random integer systems A x = b, x >= 0, including negative and zero
+    right-hand sides and degenerate ratio-test ties."""
+    rng = random.Random(1968)
+    feasible = 0
+    for _ in range(600):
+        m, n = rng.randint(1, 4), rng.randint(1, 6)
+        cols = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(n)]
+        if rng.random() < 0.5:  # make it feasible by construction
+            x = [rng.randint(0, 2) for _ in range(n)]
+            rhs = tuple(sum(c[i] * xj for c, xj in zip(cols, x)) for i in range(m))
+        else:
+            rhs = tuple(rng.randint(-4, 4) for _ in range(m))
+        want = _reference_phase1_feasible(cols, rhs)
+        assert norms._phase1_feasible(cols, rhs) == want, (cols, rhs)
+        feasible += want
+    assert 200 < feasible < 600
+
+
+def test_hull_kernel_matches_fraction_reference_and_oracle():
+    rng = random.Random(22)
+    for pts in _random_point_sets(rng):
+        verts = hull_vertices(pts)
+        assert verts == _reference_hull_vertices(pts), pts
+        distinct = sorted(set(pts))
+        for q in _queries(rng, pts):
+            got = in_convex_hull(q, pts)
+            assert got == _reference_in_convex_hull(q, pts), (q, pts)
+            assert got == conv_member_oracle(q, distinct), (q, pts)
+            assert got == in_convex_hull(q, verts), (q, pts)
+
+
+def test_hull_kernel_is_exact_on_huge_coordinates():
+    """A float or a rounded ratio would merge these; the integer tableau
+    does not."""
+    big = 10**30
+    assert in_convex_hull((big,), [(0,), (big,)])
+    assert not in_convex_hull((big + 1,), [(0,), (big,)])
+    tri = [(0, 0), (big, 0), (0, big)]
+    assert in_convex_hull((big - 1, 1), tri)
+    assert not in_convex_hull((big - 1, 2), tri)
+    assert hull_vertices(tri + [(1, big - 1), (big // 2, big // 2 + 1)]) == [
+        (0, 0),
+        (0, big),
+        (big // 2, big // 2 + 1),
+        (big, 0),
+    ]
+    assert not in_convex_hull((Fraction(1, big), 0), [(0, 0), (0, 1)])
+
+
+def test_hull_of_fraction_points_is_the_scaled_integer_hull():
+    rng = random.Random(7)
+    for _ in range(40):
+        dim = rng.randint(1, 3)
+        den = rng.choice([2, 3, 6, 35])
+        ints = [tuple(rng.randint(-6, 6) for _ in range(dim)) for _ in range(rng.randint(1, 8))]
+        fracs = [tuple(Fraction(x, den) for x in q) for q in ints]
+        want = [tuple(Fraction(x, den) for x in v) for v in hull_vertices(ints)]
+        assert hull_vertices(fracs) == want, ints
+    # mixed int and Fraction coordinates in one set
+    assert hull_vertices([(0, 0), (Fraction(1, 2), 0), (1, 0), (0, Fraction(3, 2))]) == [
+        (0, 0),
+        (0, Fraction(3, 2)),
+        (1, 0),
+    ]
+
+
+def test_in_convex_hull_with_fraction_query_points():
+    square = [(Fraction(1, 2), Fraction(1, 2)), (Fraction(-1, 2), Fraction(1, 2)),
+              (Fraction(-1, 2), Fraction(-1, 2)), (Fraction(1, 2), Fraction(-1, 2))]
+    tri = [(0, 0), (3, 0), (0, 3)]
+    assert in_convex_hull((Fraction(3, 2), Fraction(3, 2)), tri)  # on an edge
+    assert in_convex_hull((Fraction(3), Fraction(0)), tri)  # at a vertex
+    assert in_convex_hull((Fraction(1, 3), Fraction(1, 7)), tri)  # inside
+    assert not in_convex_hull((Fraction(3, 2), Fraction(3, 2) + Fraction(1, 10**9)), tri)
+    assert not in_convex_hull((Fraction(-1, 10**9), 1), tri)
+    assert in_convex_hull((0, Fraction(1, 2)), square)  # on an edge
+    assert in_convex_hull((Fraction(-1, 2), Fraction(1, 2)), square)  # at a vertex
+    assert not in_convex_hull((Fraction(1, 2), Fraction(1, 2) + Fraction(1, 1000)), square)
+    assert not in_convex_hull((Fraction(1, 2),), [])
 
 
 def test_support_polytope_examples():
