@@ -10,12 +10,12 @@ positive coefficient on the lexicographically largest exponent) so that
 Exact division packs each exponent vector into one int (a mixed radix
 per call, first variable most significant, so int order is lex order) and
 takes the leading remainder term from a heap of packed keys; only the
-quotient is unpacked.  The gcd is computed dependency-free: a heuristic gcd
-(evaluation at large integers, integer gcd, lifting by base-xi digits)
-certified by exact division, with a subresultant fallback (recursion on
-variables with content/primitive-part splitting and univariate subresultant
-remainder sequences).  The number of variables is capped (default 6,
-override with the ALEXLAB_MAX_VARS environment variable).
+quotient is unpacked.  The gcd is computed dependency-free, on one path: a
+heuristic gcd (evaluation at large integers, integer gcd, lifting by
+base-xi digits) certified by exact division, which tries larger evaluation
+points until a candidate passes and raises LimitError once they pass a
+cap.  The number of variables is capped (default 6, override with the
+ALEXLAB_MAX_VARS environment variable).
 
 Univariate cyclotomic work (Phi_d, cyclotomic decomposition, the fields
 Q(zeta_m)) runs on dense coefficient lists, constant term first, with one
@@ -193,25 +193,6 @@ class LaurentPoly:
     def unit_equal(self, other: "LaurentPoly") -> bool:
         return self.canonical() == other.canonical()
 
-    # -- views in one variable ------------------------------------------
-
-    def degree_in(self, v: int) -> int:
-        """Largest exponent of variable v (input must be nonzero)."""
-        if self.is_zero():
-            raise DomainError("degree of the zero polynomial")
-        return max(e[v] for e, _ in self.terms)
-
-    def coefficient_in(self, v: int, k: int) -> "LaurentPoly":
-        """Coefficient of v^k, as a polynomial with the v-slot set to 0."""
-        acc = {}
-        for e, c in self.terms:
-            if e[v] == k:
-                acc[e[:v] + (0,) + e[v + 1 :]] = c
-        return self._make(self.nvars, acc)
-
-    def leading_in(self, v: int) -> "LaurentPoly":
-        return self.coefficient_in(v, self.degree_in(v))
-
     # -- text form --------------------------------------------------------
 
     def _term_str(self, e, c, names) -> str:
@@ -369,85 +350,7 @@ def multiply(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 # -- gcd -------------------------------------------------------------------
 
 
-def _prem(F: LaurentPoly, G: LaurentPoly, v: int) -> LaurentPoly:
-    """Pseudo-remainder of F by G with respect to variable v:
-    lc(G)^(deg F - deg G + 1) * F = Q*G + R with deg_v R < deg_v G."""
-    dG = G.degree_in(v)
-    lG = G.leading_in(v)
-    R = F
-    e = F.degree_in(v) - dG + 1
-    while not R.is_zero() and R.degree_in(v) >= dG:
-        dR = R.degree_in(v)
-        lR = R.leading_in(v)
-        vshift = tuple(dR - dG if i == v else 0 for i in range(F.nvars))
-        R = lG * R - lR.shift(vshift) * G
-        e -= 1
-    for _ in range(e):
-        R = lG * R
-    return R
-
-
-def _content_in(p: LaurentPoly, v: int) -> LaurentPoly:
-    g = LaurentPoly.zero(p.nvars)
-    for k in sorted({e[v] for e, _ in p.terms}):
-        g = _gcd_poly(g, p.coefficient_in(v, k))
-        if not g.is_zero() and g.canonical() == LaurentPoly.one(p.nvars):
-            break
-    return g
-
-
-def _gcd_poly(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """gcd of two polynomials with nonnegative exponents, up to sign."""
-    if p.is_zero():
-        return q
-    if q.is_zero():
-        return p
-    v = None
-    for i in reversed(range(p.nvars)):
-        if any(e[i] for e, _ in p.terms) or any(e[i] for e, _ in q.terms):
-            v = i
-            break
-    if v is None:
-        return LaurentPoly.constant(p.nvars, igcd(p.constant_value(), q.constant_value()))
-
-    if not any(e[v] for e, _ in p.terms):
-        # v occurs only in q: a common divisor is v-free, so it divides
-        # the v-content of q.
-        return _gcd_poly(p, _content_in(q, v))
-    if not any(e[v] for e, _ in q.terms):
-        return _gcd_poly(_content_in(p, v), q)
-
-    cp = _content_in(p, v)
-    cq = _content_in(q, v)
-    cont = _gcd_poly(cp, cq)
-    F = exact_div(p, cp)
-    G = exact_div(q, cq)
-    if F.degree_in(v) < G.degree_in(v):
-        F, G = G, F
-
-    one = LaurentPoly.one(p.nvars)
-    g = one
-    h = one
-    while True:
-        delta = F.degree_in(v) - G.degree_in(v)
-        R = _prem(F, G, v)
-        if R.is_zero():
-            break
-        if R.degree_in(v) == 0:
-            # Nonzero v-free remainder: primitive parts are coprime.
-            G = one
-            break
-        F, G = G, exact_div(R, g * h**delta)
-        g = F.leading_in(v)
-        h = exact_div(g**delta, h ** (delta - 1)) if delta > 0 else h
-    Gpp = exact_div(G, _content_in(G, v))
-    return cont * Gpp
-
-
-HEU_TRIES = 6
-
-
-def _heu_gcd(f: dict, g: dict, n: int) -> dict | None:
+def _heu_gcd(f: dict, g: dict, n: int) -> dict:
     """Heuristic gcd (GCDHEU: Char, Geddes & Gonnet, J. Symbolic Comput. 7,
     1989) of two nonzero polynomials given as {exponent n-tuple: int} with
     nonnegative exponents.
@@ -459,15 +362,25 @@ def _heu_gcd(f: dict, g: dict, n: int) -> dict | None:
     primitive operands.  With xi >= 2*min(|f|, |g|) + 2 (max norms of the
     primitive parts) such a candidate is the gcd (Geddes, Czapor & Labahn,
     Thm 7.7), provided the gcd of the images is exact, as it is here at
-    every level.  Returns None when every try fails; the caller then falls
-    back to `_gcd_poly`.
+    every level.
+
+    The loop over xi terminates.  Write the primitive operands as D*A and
+    D*B with D their gcd.  Since A and B are coprime, only finitely many xi
+    give the images A(xi) and B(xi) a common factor of positive degree.  At
+    every other xi they share only an integer h, and h divides every
+    coefficient of the resultant of A and B in the last variable, which
+    does not depend on xi; so once xi > 2*|h|*|D|, the gcd of the images
+    is +-h*D(xi), the lift is +-h*D and its primitive part is D.  The work
+    is bounded all the same: each level raises LimitError once xi has more
+    than 8*b0 + 64 bits, b0 the bit length of its first xi.  The first six
+    xi always stay below that cap.
     """
     if n == 0:
         return {(): igcd(f[()], g[()])}
     if not any(e[-1] for e in f) and not any(e[-1] for e in g):
         f = {e[:-1]: c for e, c in f.items()}
         h = _heu_gcd(f, {e[:-1]: c for e, c in g.items()}, n - 1)
-        return None if h is None else {e + (0,): c for e, c in h.items()}
+        return {e + (0,): c for e, c in h.items()}
     cf = exactla.content(f.values())
     cg = exactla.content(g.values())
     if cf != 1:
@@ -478,15 +391,13 @@ def _heu_gcd(f: dict, g: dict, n: int) -> dict | None:
     G = LaurentPoly(n, tuple(sorted(g.items())))
     cont = igcd(cf, cg)
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
-    for _ in range(HEU_TRIES):
+    cap = 8 * xi.bit_length() + 64
+    while xi.bit_length() <= cap:
         # xi may be a root of the operand with the larger norm.
         ff = _eval_last(f, xi)
         gg = _eval_last(g, xi)
         if ff and gg:
-            h = _heu_gcd(ff, gg, n - 1)
-            if h is None:
-                return None
-            H = _lift_last(h, xi)
+            H = _lift_last(_heu_gcd(ff, gg, n - 1), xi)
             hc = exactla.content(H.values())
             C = LaurentPoly(n, tuple(sorted((e, c // hc) for e, c in H.items())))
             # With min exponents 0, division in the Laurent ring is division
@@ -498,7 +409,10 @@ def _heu_gcd(f: dict, g: dict, n: int) -> dict | None:
             ):
                 return {e: cont * c for e, c in C.terms}
         xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
-    return None
+    raise LimitError(
+        "gcd: no evaluation point below 2^%d certified a candidate "
+        "(operands with %d and %d terms)" % (cap, len(f), len(g))
+    )
 
 
 def _eval_last(f: dict, xi: int) -> dict:
@@ -535,8 +449,9 @@ def _lift_last(h: dict, xi: int) -> dict:
 def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """gcd in the Laurent ring, canonically normalized.  gcd(p, 0) = p.
 
-    Tried in order: q divisible by p, then `_heu_gcd`, then the
-    subresultant `_gcd_poly`.  Each answer is exact."""
+    Returns p (canonical) when it divides q, and otherwise the certified
+    heuristic `_heu_gcd`, which raises LimitError when its evaluation
+    points pass their cap.  Each answer is exact."""
     p._check_ambient(q)
     if p.is_zero():
         return q.canonical()
@@ -553,8 +468,6 @@ def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     if exact_div(Q, P) is not None:
         return P
     h = _heu_gcd(dict(P.terms), dict(Q.terms), p.nvars)
-    if h is None:
-        return _gcd_poly(P, Q).canonical()
     return LaurentPoly._make(p.nvars, h).canonical()
 
 

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from alexlab import cli, fpgroup
+from alexlab import cli, fpgroup, laurent
 
 TREFOIL_FP = "gens a b\nrel a^2 b^-3\n"
 SOL_FP = (
@@ -273,6 +273,21 @@ def test_limit_exit_code(capsys, trefoil_file, monkeypatch):
     code, out, err = run_cli(capsys, "delta", trefoil_file, "--k", "1")
     assert code == 2
     assert "limit" in err.lower()
+
+
+def test_gcd_cap_exit_code(capsys, trefoil_file, monkeypatch):
+    # A gcd whose candidates never pass the division check stops at the cap
+    # on its evaluation points: exit 2, not an internal error or a hang.
+    def non_divisor(h, xi):
+        zero = (0,) * len(next(iter(h)))
+        return {zero + (1,): 1, zero + (0,): 3 * xi + 1}
+
+    monkeypatch.setattr(laurent, "_lift_last", non_divisor)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "delta", trefoil_file, "--k", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("limit exceeded: ")
 
 
 def test_letter_budget_exit_code(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -225,11 +226,21 @@ def test_gcd_divides_and_coprime_cofactors():
         assert laurent.gcd(cp, cq).is_unit()
 
 
+def _s_product_pair():
+    # The product of 1 - t^a over this S against (1 - t)^12 (t + 7): the
+    # first six evaluation points all fail, the seventh certifies.
+    f = ONE
+    for a in (1, 2, 5, 8, 13, 18, 28, 29, 30, 31, 37, 39):
+        f = f * (ONE - T**a)
+    return f, (ONE - T) ** 12 * (T + C(1, 7))
+
+
 def _sympy_gcd_cases():
     """Pairs for the sympy differential tests: 60 small pairs with a
     planted factor, then pairs with degree >= 40 in one variable,
-    coefficients up to 10^6, coprime pairs with no planted factor, and
-    pairs where one operand lacks a variable (nvars 1..4)."""
+    coefficients up to 10^6, coprime pairs with no planted factor, pairs
+    where one operand lacks a variable (nvars 1..4), and last the pair of
+    `_s_product_pair`, which needs more than six evaluation points."""
     rng = random.Random(1234)
     cases = []
     for _ in range(60):
@@ -267,11 +278,12 @@ def _sympy_gcd_cases():
         g = without_v(random_poly(rng, nv))
         p = g * (random_poly(rng, nv) + V(nv, v))
         cases.append((p, g * without_v(random_poly(rng, nv, max_terms=4))))
+    cases.append(_s_product_pair())
     return cases
 
 
 def _max_degree(p):
-    return max(p.degree_in(v) for v in range(p.nvars))
+    return max(max(e) for e, _ in p.terms)
 
 
 def _check_gcd_against_sympy(sympy, keep=lambda p: True):
@@ -308,16 +320,45 @@ def test_gcd_against_sympy():
     assert max(abs(c) for p, q in cases for _, c in p.terms + q.terms) >= 10**6
 
 
-def test_gcd_fallback_against_sympy(monkeypatch):
-    # The subresultant path alone, as when every heuristic try fails.  The
-    # high-degree pairs in 3 and 4 variables are left out: on two of those
-    # four its coefficient swell takes it over 10 s.
-    sympy = pytest.importorskip("sympy")
-    monkeypatch.setattr(laurent, "_heu_gcd", lambda f, g, n: None)
-    cases = _check_gcd_against_sympy(
-        sympy, lambda p: p.nvars <= 2 or _max_degree(p) < 20
-    )
-    assert len(cases) == len(_sympy_gcd_cases()) - 4
+def test_gcd_tries_more_than_six_evaluation_points(monkeypatch):
+    lifted = []
+    lift = laurent._lift_last
+
+    def counted(h, xi):
+        lifted.append(xi)
+        return lift(h, xi)
+
+    monkeypatch.setattr(laurent, "_lift_last", counted)
+    f, g = _s_product_pair()
+    assert laurent.gcd(f, g) == ((ONE - T) ** 12).canonical()
+    assert len(lifted) > 6
+
+
+def test_gcd_without_a_certified_candidate_raises_limit_error(monkeypatch):
+    # Every lift becomes t + 3 xi + 1 in the last variable, which is beyond
+    # the root bound of the operand with the smaller norm, so no candidate
+    # ever divides both: a pair that needs a lift must stop at the cap on xi.
+    # The others (one operand divides the other, or both are monomials) are
+    # settled without a lift and keep their answer.
+    cases = [(p, q, laurent.gcd(p, q)) for p, q in _sympy_gcd_cases()]
+    lifted = []
+
+    def non_divisor(h, xi):
+        lifted.append(xi)
+        zero = (0,) * len(next(iter(h)))
+        return {zero + (1,): 1, zero + (0,): 3 * xi + 1}
+
+    monkeypatch.setattr(laurent, "_lift_last", non_divisor)
+    raised = 0
+    start = time.perf_counter()
+    for p, q, d in cases:
+        del lifted[:]
+        try:
+            assert laurent.gcd(p, q) == d and not lifted, (p, q)
+        except LimitError:
+            raised += 1
+    assert time.perf_counter() - start < 1.0
+    assert raised >= 70
 
 
 def test_gcd_heuristic_certifies_its_candidates():
@@ -460,7 +501,7 @@ def test_cyclotomic_decompose_reassembles_and_remainder_is_clean():
         # exhaustive check: no cyclotomic divides the remainder
         rem = dec.remainder
         if not rem.is_constant():
-            deg = rem.degree_in(0)
+            deg = max(e for (e,), _ in rem.terms)
             for d in range(1, 2 * deg * deg + 1):
                 if laurent.euler_phi(d) <= deg:
                     assert laurent.exact_div(rem, laurent.cyclotomic_polynomial(d)) is None
