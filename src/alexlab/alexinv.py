@@ -26,7 +26,7 @@ from itertools import combinations
 from . import exactla, laurent
 from .errors import DomainError, LimitError
 from .fpgroup import FoxMatrix
-from .laurent import CycloElement, LaurentPoly
+from .laurent import LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class CvReport:
     """dim H_1 with coefficients twisted by the character, plus membership
     flags for the jump loci V_k, k = 1..len(memberships).
 
-    The dimension comes from a rank computation over the cyclotomic field.
+    The dimension comes from the rank of the Fox matrix at the character.
     Each membership flag is read off as dim >= k, which is exact: all
     (s-k)-minors of the evaluated matrix vanish iff its rank is below s-k."""
 
@@ -356,49 +356,59 @@ def thickness(F: FoxMatrix) -> int:
 
 
 # Largest character order for `cv_dim`.  Phi_m is one linear pass per
-# squarefree divisor (trefoil: 3 ms cold at m = 9240), but the Euclid over Q
-# in `CycloElement.inverse` swells on a dense pivot (1 s at m = 600, 36 s
-# at m = 2310), so the bound stays.
+# squarefree divisor (trefoil: 3 ms cold at m = 9240), but the rank at the
+# character multiplies minors of degree about k * phi(m) on a block of rank
+# k, which still takes seconds on a dense 4 x 4 block at m = 1260, so the
+# bound stays.
 CV_MAX_ORDER = 5000
 
 
-def _cyclo_size(e: CycloElement):
-    return None if e.is_zero() else 0
+def _character_rank(b: _Block, rho: tuple) -> int:
+    """Rank of the block at the character rho of order m, by the same
+    `exactla.bareiss` call as `_frac_rank`, over Z[t] instead of Q(zeta_m).
 
+    Each entry is evaluated exactly into Z[zeta_m] and lifted to the
+    polynomial of degree < phi(m) in Z[t] with those coefficients, which
+    takes the entry's value at t = zeta_m.  `size` keeps the degree-first
+    pivot order but refuses an entry that vanishes at zeta_m, i.e. is zero
+    mod Phi_m (a nonzero entry of degree spread below phi(m) cannot be).
+    So every pivot is a nonzero polynomial, the divisions are exact in Z[t]
+    (Sylvester's identity), and after r steps each remaining entry is a
+    bordered minor: the last pivot, the r x r minor on the pivot rows and
+    columns, times an entry of the Schur complement of that minor.
+    Evaluation at zeta_m is a ring map and no pivot vanishes there, so the
+    rank at zeta_m is r plus the rank of that complement there: the
+    elimination goes on exactly while some remaining entry is nonzero at
+    zeta_m, and stops at the rank.
+    """
+    m = laurent.character_order(rho)
+    phi, zeta = laurent.euler_phi(m), (Fraction(1, m),)
 
-def _pivot_divider():
-    """A `div` for `exactla.bareiss` over Q(zeta_m): every division of a step
-    is by the same previous pivot, so invert it once and multiply."""
-    pivot = inverse = None
+    def size(e: LaurentPoly):
+        key = _poly_size(e)
+        if key and key[0] >= phi and laurent.evaluate_at_character(e, zeta).is_zero():
+            return None
+        return key
 
-    def div(e: CycloElement, d: CycloElement) -> CycloElement:
-        nonlocal pivot, inverse
-        if d is not pivot:
-            pivot, inverse = d, d.inverse()
-        return e * inverse
-
-    return div
-
-
-def _cyclo_rank(m) -> int:
-    """Rank over Q(zeta_m) by `exactla.bareiss`, each step's divisor
-    inverted once by `_pivot_divider`."""
-    return exactla.bareiss(m, _pivot_divider(), _cyclo_size)[0]
+    lift = laurent._from_dense
+    lifts = [
+        [lift(laurent.evaluate_at_character(b.entries[i][j], rho).coeffs) for j in b.cols]
+        for i in b.rows
+    ]
+    return exactla.bareiss(lifts, _exact_div, size)[0]
 
 
 def cv_dim(F: FoxMatrix, rho: CharacterPoint, kmax: int | None = None) -> CvReport:
     """dim H_1(X; C_rho) and the jump-locus memberships at rho.
 
-    For a nontrivial character, dim = s - 1 - rank of the evaluated Fox
-    matrix over the cyclotomic field: the pivot count of `reduction(F)`
-    plus the `_cyclo_rank` of each evaluated block.  `exactla.bareiss`
-    divides only from its second step on, by the previous pivot, which
-    `_pivot_divider` inverts once per step: a block of rank r costs at most
-    r - 1 inversions, and 1- and 2-row blocks none.  The trivial character
-    gives dim = b1 directly.  Membership in V_k is read off as dim >= k:
-    all (s-k)-minors of the evaluated matrix vanish exactly when its rank
-    is below s - k, that is, when s - 1 - rank >= k.  A character of order
-    above `CV_MAX_ORDER` raises `LimitError`.
+    For a nontrivial character, dim = s - 1 - rank of the Fox matrix at
+    rho: the pivot count of `reduction(F)` plus the `_character_rank` of
+    each block, a fraction-free elimination over Z[t] with no division in
+    Q(zeta_m).  The trivial character gives dim = b1 directly.  Membership
+    in V_k is read off as dim >= k: all (s-k)-minors of the evaluated matrix
+    vanish exactly when its rank is below s - k, that is, when
+    s - 1 - rank >= k.  A character of order above `CV_MAX_ORDER` raises
+    `LimitError`.
     """
     if len(rho.rho) != F.nvars:
         raise DomainError("character has %d entries but b1 = %d" % (len(rho.rho), F.nvars))
@@ -411,13 +421,7 @@ def cv_dim(F: FoxMatrix, rho: CharacterPoint, kmax: int | None = None) -> CvRepo
         dim = F.abelianization.b1
     else:
         R = reduction(F)
-        rank = R.pivots
-        for b in R.blocks:
-            ev = [
-                [laurent.evaluate_at_character(b.entries[i][j], rho.rho) for j in b.cols]
-                for i in b.rows
-            ]
-            rank += _cyclo_rank(ev)
+        rank = R.pivots + sum(_character_rank(b, rho.rho) for b in R.blocks)
         dim = F.cols - 1 - rank
     top = kmax if kmax is not None else max(dim, 0)
     return CvReport(dim, tuple(dim >= k for k in range(1, top + 1)))

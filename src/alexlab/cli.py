@@ -374,7 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     _leaf(sub, "ball", _cmd_ball, "file", help="support polytope of the first order")
     _leaf(
         sub, "cv", _cmd_cv, "file", help="twisted homology dimension at a character",
-        rho=dict(required=True, help="comma-separated rationals"),
+        rho=dict(
+            required=True,
+            help="comma-separated rationals; write a leading minus as --rho=-1/6 (or 5/6)",
+        ),
         k=dict(type=int, default=None, help="report V_k up to this k"),
     )
     _leaf(

@@ -1,7 +1,8 @@
 """Exact linear algebra: Smith normal form, kernels, Hermite form, lattice
 saturation, and `bareiss`, the one fraction-free elimination behind every
 rank and determinant in the package (integer rank and determinant here, the
-ranks over Frac Z[H] and over cyclotomic fields in `alexinv`).
+rank over Frac Z[H] and the rank at a torsion character, over Z[t], in
+`alexinv`).
 
 Apart from `bareiss`, which works in place over any exact domain, everything
 here works with plain Python integers (arbitrary precision) and immutable

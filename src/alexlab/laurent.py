@@ -17,11 +17,12 @@ points until a candidate passes and raises LimitError once they pass a
 cap.  The number of variables is capped (default 6, override with the
 ALEXLAB_MAX_VARS environment variable).
 
-Univariate cyclotomic work (Phi_d, cyclotomic decomposition, the fields
-Q(zeta_m)) runs on dense coefficient lists, constant term first, with one
-product and one division by a monic divisor, so integers stay integers;
-Phi_d itself is a Moebius product of binomials 1 - t^k, one linear pass
-each.  Fractions enter only in the Euclid steps of `CycloElement.inverse`.
+Univariate cyclotomic work (Phi_d, cyclotomic decomposition, the rings
+Z[zeta_m] of values at torsion characters) runs on dense coefficient
+lists, constant term first, with one product and one division by a monic
+divisor, so integers stay integers; Phi_d itself is a Moebius product of
+binomials 1 - t^k, one linear pass each.  Nothing here divides in a
+cyclotomic field.
 """
 
 from __future__ import annotations
@@ -593,12 +594,6 @@ def _small_phi(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _trim(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
 def _mul(a, b) -> list:
     """Product of two dense coefficient lists."""
     out = [0] * (len(a) + len(b) - 1)
@@ -626,7 +621,7 @@ def _divmod(a, b) -> tuple[list, list]:
 
 
 def _from_dense(a) -> LaurentPoly:
-    return LaurentPoly._make(1, {(k,): c for k, c in enumerate(a)})
+    return LaurentPoly(1, tuple(((k,), c) for k, c in enumerate(a) if c))
 
 
 @lru_cache(maxsize=None)
@@ -720,8 +715,8 @@ def cyclotomic_decompose(p: LaurentPoly) -> CyclotomicDecomposition:
 
 @dataclass(frozen=True)
 class CycloElement:
-    """An element of the m-th cyclotomic field, reduced modulo Phi_m: its
-    coefficients on 1, zeta, .., zeta^(phi(m)-1), ints until a division."""
+    """An element of the ring Z[zeta_m], reduced modulo Phi_m: its integer
+    coefficients on 1, zeta, .., zeta^(phi(m)-1)."""
 
     order: int
     coeffs: tuple
@@ -758,32 +753,8 @@ class CycloElement:
         o = self._lift(other)
         return CycloElement.from_poly(self.order, _mul(self.coeffs, o.coeffs))
 
-    def inverse(self) -> "CycloElement":
-        """Extended Euclid against Phi_m, each divisor made monic: s1 * self
-        = r1 modulo Phi_m throughout, until the last nonzero r is 1."""
-        if self.is_zero():
-            raise DomainError("inverse of zero")
-        r0, r1 = list(_cyclotomic_coeffs(self.order)), _trim(list(self.coeffs))
-        s0, s1 = [], [1]
-        while r1:
-            if r1[-1] != 1:
-                u = Fraction(1, r1[-1])
-                r1 = [x * u for x in r1]
-                s1 = [x * u for x in s1]
-            q, r = _divmod(r0, r1)
-            s = [-x for x in _mul(q, s1)]
-            for i, x in enumerate(s0):
-                s[i] += x
-            r0, r1, s0, s1 = r1, _trim(r), s1, s
-        if len(r0) != 1:
-            raise DomainError("element not invertible in the cyclotomic field")
-        return CycloElement.from_poly(self.order, s0)
-
-    def __truediv__(self, other):
-        return self * self._lift(other).inverse()
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = CycloElement.from_int(self.order, other)
         if not isinstance(other, CycloElement):
             return NotImplemented
@@ -799,7 +770,7 @@ def character_order(rho) -> int:
 
 def evaluate_at_character(p: LaurentPoly, rho) -> CycloElement:
     """Exact value of p at the torsion character exp(2*pi*i*rho), as an
-    element of the cyclotomic field of the character's order."""
+    element of Z[zeta_m], m the character's order."""
     rho = [Fraction(x) for x in rho]
     if len(rho) != p.nvars:
         raise DomainError("character length does not match variable count")

@@ -174,7 +174,7 @@ def _evaluate_matrix(F, rho):
 
 
 def _cyclo_minor_det(entries, rows, cols) -> CycloElement:
-    """Laplace expansion along the first row, over the cyclotomic field."""
+    """Laplace expansion along the first row, in Z[zeta_m]."""
     order = entries[0][0].order
 
     def det(rs, cs):
@@ -207,7 +207,7 @@ def _all_minors_vanish(entries, nrows, ncols, size) -> bool:
 
 def test_membership_flags_match_rank_route():
     # cv_dim reads memberships off dim >= k, with dim from a rank computation
-    # over the cyclotomic field; the reference here decides V_k from the
+    # at the character; the reference here decides V_k from the
     # vanishing of all (s-k)-minors (the elementary ideals E_k).  The two
     # independent routes must agree, monotonically, across the corpus.
     for entry in ALL:
@@ -292,22 +292,19 @@ def test_bareiss_minor_matches_laplace_on_fox_submatrices():
 
 
 def test_cv_dim_inverts_nothing_on_one_row(monkeypatch):
-    # A 1 x 2 torus-knot matrix needs no division: bareiss divides only
-    # from its second step on.
-    inverses = []
-    inverse = CycloElement.inverse
-
-    def counted(self):
-        inverses.append(self.order)
-        return inverse(self)
-
-    monkeypatch.setattr(CycloElement, "inverse", counted)
+    # A 1 x 2 torus-knot block needs no division at all: bareiss divides only
+    # from its second step on, and nothing in Q(zeta_m) is ever inverted.
+    divisions = []
+    exact_div = alexinv._exact_div
+    monkeypatch.setattr(
+        alexinv, "_exact_div", lambda p, d: divisions.append(d) or exact_div(p, d)
+    )
     for entry in (TREFOIL, T34):
         F = fox_matrix(entry.presentation)
         assert (F.rows, F.cols) == (1, 2)
         assert cv_dim(F, CharacterPoint((Fraction(1, 6),))).dim == 1
         assert cv_dim(F, CharacterPoint((Fraction(1, 60),))).dim == 0
-    assert inverses == []
+    assert divisions == []
 
 
 def test_cv_dim_makes_no_exact_div(monkeypatch):
@@ -335,18 +332,15 @@ def test_cv_dim_rejects_large_orders():
 
 
 def test_cv_dim_inverts_each_pivot_once(monkeypatch):
-    # Each bareiss step divides by the previous pivot; inverting it per
-    # entry made 8 inversions in the second step of fig8*fig8 alone.  The
-    # reduction leaves these groups only blocks of one row, which invert
-    # nothing, so the kernel `_cyclo_rank` is checked on the whole matrix.
-    inverses = []
-    inverse = CycloElement.inverse
-
-    def counted(self):
-        inverses.append(self)
-        return inverse(self)
-
-    monkeypatch.setattr(CycloElement, "inverse", counted)
+    # Each bareiss step of `_character_rank` divides, exactly in Z[t], by the
+    # previous pivot only: a block of rank r uses at most r - 1 divisors and
+    # inverts nothing.  The reduction leaves these groups only blocks of one
+    # row, so the kernel is checked on the whole matrix, of rank >= 3 there.
+    divisors = []
+    exact_div = alexinv._exact_div
+    monkeypatch.setattr(
+        alexinv, "_exact_div", lambda p, d: divisors.append(d) or exact_div(p, d)
+    )
     groups = [
         free_product(FIG8.presentation, FIG8.presentation),
         free_product(SOL3.presentation, TREFOIL.presentation),
@@ -355,15 +349,15 @@ def test_cv_dim_inverts_each_pivot_once(monkeypatch):
     for p in groups:
         F = fox_matrix(p)
         assert F.rows >= 4
+        whole = alexinv._Block(F.entries, F.nvars, tuple(range(F.rows)), tuple(range(F.cols)))
         for m in (5, 7):
             rho = CharacterPoint(tuple(Fraction(i + 1, m) for i in range(F.nvars)))
-            ev = _evaluate_matrix(F, rho)
-            del inverses[:]
-            rank = alexinv._cyclo_rank([list(row) for row in ev])
+            rank = _reference_rank(_evaluate_matrix(F, rho))
             assert rank >= 3
-            assert len(inverses) <= rank - 1
-            assert exactla.bareiss(ev, CycloElement.__truediv__, alexinv._cyclo_size)[0] == rank
-            assert cv_dim(F, rho).dim == F.cols - 1 - rank
+            del divisors[:]
+            assert alexinv._character_rank(whole, rho.rho) == rank, (p, m)
+            assert 1 <= len({id(d) for d in divisors}) <= rank - 1
+            assert cv_dim(F, rho).dim == F.cols - 1 - rank, (p, m)
 
 
 def _count_calls(monkeypatch, name):
@@ -436,9 +430,18 @@ def _reference_order_k(F, k) -> LaurentPoly:
     return g.canonical()
 
 
+def _reference_rank(ev) -> int:
+    """Rank over Q(zeta_m) with no division: the largest size of a nonzero
+    minor of the evaluated matrix."""
+    nrows, ncols = len(ev), len(ev[0]) if ev else 0
+    size = min(nrows, ncols)
+    while size and _all_minors_vanish(ev, nrows, ncols, size):
+        size -= 1
+    return size
+
+
 def _reference_cv_dim(F, rho) -> int:
-    ev = _evaluate_matrix(F, rho)
-    return F.cols - 1 - exactla.bareiss(ev, CycloElement.__truediv__, alexinv._cyclo_size)[0]
+    return F.cols - 1 - _reference_rank(_evaluate_matrix(F, rho))
 
 
 def _assert_reduction_matches_reference(F, label):
@@ -456,6 +459,49 @@ def test_reduction_matches_whole_matrix_on_corpus_and_sums():
     for a, b in SUM_PAIRS:
         F = fox_matrix(free_product(a.presentation, b.presentation))
         _assert_reduction_matches_reference(F, (a.name, b.name))
+
+
+def _dense_entry(rng) -> LaurentPoly:
+    """Four terms, exponents in [-3, 3]^2, coefficients in {+-1, +-2}."""
+    p = LaurentPoly.zero(2)
+    for _ in range(4):
+        exps = [rng.randint(-3, 3), rng.randint(-3, 3)]
+        p = p + LaurentPoly.monomial(2, exps, rng.choice((-2, -1, 1, 2)))
+    return p
+
+
+@pytest.mark.parametrize("m", (5, 7, 12, 60, 210))
+def test_character_rank_of_dense_blocks(m):
+    # Dense bivariate blocks at the character (1/m, 7/m), each last row
+    # either random, or t1 row_0 + t2^-1 row_1, or Phi_m(t1) row + t1^2 row_0.
+    # In the last case, with no more rows than columns, the rank at the
+    # character is below the rank over Frac Z[H].  In both dependent cases
+    # the lifts to Z[t] stay independent, so the elimination meets nonzero
+    # entries that vanish at zeta_m.
+    rng = random.Random(m)
+    rho = CharacterPoint((Fraction(1, m), Fraction(7, m)))
+    t1, t2_inv = LaurentPoly.variable(2, 0), LaurentPoly.monomial(2, (0, -1))
+    phi_t1 = laurent.apply_exponent_map(laurent.cyclotomic_polynomial(m), [[1], [0]], 2)
+    for nrows, ncols in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 3), (4, 4)):
+        for kind in ("random", "combination", "phi"):
+            rows = [[_dense_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+            if kind == "combination":
+                rows[-1] = [t1 * a + t2_inv * b for a, b in zip(rows[0], rows[1])]
+            elif kind == "phi":
+                rows[-1] = [phi_t1 * c + t1 * t1 * a for c, a in zip(rows[-1], rows[0])]
+            block = alexinv._Block(rows, 2, tuple(range(nrows)), tuple(range(ncols)))
+            ev = [[laurent.evaluate_at_character(e, rho.rho) for e in row] for row in rows]
+            rank = alexinv._character_rank(block, rho.rho)
+            assert rank == _reference_rank(ev), (nrows, ncols, kind)
+            if kind == "phi" and nrows <= ncols:
+                assert rank < block.rank(), (nrows, ncols)
+    # Phi_m = t1^(phi/2) t1^(phi/2) + (Phi_m - t1^phi) as a 2 x 2 determinant
+    # of entries of degree below phi(m): after the first pivot, the entry
+    # left is +-Phi_m itself, of degree spread exactly phi(m).
+    half = LaurentPoly.monomial(2, (laurent.euler_phi(m) // 2, 0))
+    rows = [[half, -LaurentPoly.one(2)], [phi_t1 - half * half, half]]
+    block = alexinv._Block(rows, 2, (0, 1), (0, 1))
+    assert (alexinv._character_rank(block, rho.rho), block.rank()) == (1, 2)
 
 
 @st.composite

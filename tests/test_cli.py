@@ -117,6 +117,20 @@ def test_cv(capsys, trefoil_file):
     assert "kmax" in err
 
 
+def test_cv_negative_rho_needs_the_equals_form(capsys, trefoil_file):
+    # argparse reads a separate "-1/6" as an option, so the help text says
+    # to write --rho=-1/6; rationals are taken mod 1, so it is 5/6.
+    code, out, err = run_cli(capsys, "cv", trefoil_file, "--rho", "-1/6")
+    assert (code, out) == (1, "")
+    assert "expected one argument" in err
+    code, joined, _ = run_cli(capsys, "cv", trefoil_file, "--rho=-1/6", "--machine")
+    assert code == 0
+    code, shifted, _ = run_cli(capsys, "cv", trefoil_file, "--rho", "5/6", "--machine")
+    assert code == 0
+    assert joined == shifted
+    assert json.loads(joined)["rho"] == ["5/6"]
+
+
 def test_tori_cli(capsys):
     code, out, _ = run_cli(
         capsys,
