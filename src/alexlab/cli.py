@@ -144,13 +144,14 @@ def _cmd_abelianize(args) -> str:
 def _cmd_delta(args) -> str:
     F = fpgroup.fox_matrix(_load_presentation(args.file))
     d = alexinv.order_k(F, args.k)
+    text = d.text()
     doc = {
         "command": "delta",
         "file": args.file,
         "k": args.k,
-        "result": {"delta": _doc(d), "text": d.text()},
+        "result": {"delta": _doc(d), "text": text},
     }
-    return _emit(doc, d.text() + "\n", args.machine)
+    return _emit(doc, text + "\n", args.machine)
 
 
 def _cmd_thickness(args) -> str:
@@ -355,41 +356,12 @@ def _leaf(sub, name: str, func, *positionals, help=None, **options):
     sp.set_defaults(func=func)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(prog="alexlab", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-    required_int = dict(type=int, required=True)
-    kmax = dict(type=int, default=obstruct.DEFAULT_KMAX)
+_REQUIRED_INT = dict(type=int, required=True)
+_KMAX = dict(type=int, default=obstruct.DEFAULT_KMAX)
 
-    _leaf(sub, "abelianize", _cmd_abelianize, "file", help="b1, torsion, generator images")
-    _leaf(
-        sub, "delta", _cmd_delta, "file",
-        help="k-th order polynomial of the Fox matrix", k=required_int,
-    )
-    _leaf(sub, "thickness", _cmd_thickness, "file", help="Newton dimension of the first order")
-    _leaf(
-        sub, "norm", _cmd_norm, "file", help="Alexander norm of a cohomology class",
-        phi=dict(required=True, help="comma-separated integers"),
-    )
-    _leaf(sub, "ball", _cmd_ball, "file", help="support polytope of the first order")
-    _leaf(
-        sub, "cv", _cmd_cv, "file", help="twisted homology dimension at a character",
-        rho=dict(
-            required=True,
-            help="comma-separated rationals; write a leading minus as --rho=-1/6 (or 5/6)",
-        ),
-        k=dict(type=int, default=None, help="report V_k up to this k"),
-    )
-    _leaf(
-        sub, "test", _cmd_test, ("which", dict(choices=("kahler", "qp"))), "file",
-        help="Kahler / quasi-projective necessary conditions", kmax=kmax,
-    )
-    _leaf(
-        sub, "sum", _cmd_sum, ("files", dict(nargs="+")),
-        help="free product analysis of several groups", kmax=kmax,
-    )
 
-    sp = sub.add_parser("tori", help="translated subtorus geometry")
+def _wire_tori(sub, name):
+    sp = sub.add_parser(name, help="translated subtorus geometry")
     tsub = sp.add_subparsers(dest="tori_command", required=True)
     _leaf(
         tsub, "intersect", _cmd_tori,
@@ -397,26 +369,85 @@ def build_parser() -> argparse.ArgumentParser:
         t2=dict(required=True),
     )
 
-    sp = sub.add_parser("build", help="construct corpus presentations")
+
+def _wire_build(sub, name):
+    sp = sub.add_parser(name, help="construct corpus presentations")
     bsub = sp.add_subparsers(dest="family", required=True)
     _leaf(bsub, "torusbundle", _cmd_build, matrix=dict(required=True, help="a11,a12,a21,a22"))
-    _leaf(bsub, "torusknot", _cmd_build, p=required_int, q=required_int)
+    _leaf(bsub, "torusknot", _cmd_build, p=_REQUIRED_INT, q=_REQUIRED_INT)
     _leaf(
-        bsub, "freebycyclic", _cmd_build, rank=required_int,
+        bsub, "freebycyclic", _cmd_build, rank=_REQUIRED_INT,
         image=dict(action="append", help="word over x1..xm, repeatable"),
     )
 
-    _leaf(
-        sub, "mcmullen", _cmd_mcmullen, "file",
+
+# The top-level commands in help order: each entry adds its command to the
+# sub-command action `sub` (looking its `_cmd_*` function up at that time).
+_COMMANDS = {
+    "abelianize": lambda sub, name: _leaf(
+        sub, name, _cmd_abelianize, "file", help="b1, torsion, generator images",
+    ),
+    "delta": lambda sub, name: _leaf(
+        sub, name, _cmd_delta, "file",
+        help="k-th order polynomial of the Fox matrix", k=_REQUIRED_INT,
+    ),
+    "thickness": lambda sub, name: _leaf(
+        sub, name, _cmd_thickness, "file", help="Newton dimension of the first order",
+    ),
+    "norm": lambda sub, name: _leaf(
+        sub, name, _cmd_norm, "file", help="Alexander norm of a cohomology class",
+        phi=dict(required=True, help="comma-separated integers"),
+    ),
+    "ball": lambda sub, name: _leaf(
+        sub, name, _cmd_ball, "file", help="support polytope of the first order",
+    ),
+    "cv": lambda sub, name: _leaf(
+        sub, name, _cmd_cv, "file", help="twisted homology dimension at a character",
+        rho=dict(
+            required=True,
+            help="comma-separated rationals; write a leading minus as --rho=-1/6 (or 5/6)",
+        ),
+        k=dict(type=int, default=None, help="report V_k up to this k"),
+    ),
+    "test": lambda sub, name: _leaf(
+        sub, name, _cmd_test, ("which", dict(choices=("kahler", "qp"))), "file",
+        help="Kahler / quasi-projective necessary conditions", kmax=_KMAX,
+    ),
+    "sum": lambda sub, name: _leaf(
+        sub, name, _cmd_sum, ("files", dict(nargs="+")),
+        help="free product analysis of several groups", kmax=_KMAX,
+    ),
+    "tori": _wire_tori,
+    "build": _wire_build,
+    "mcmullen": lambda sub, name: _leaf(
+        sub, name, _cmd_mcmullen, "file",
         help="compare against supplied Thurston data", data=dict(required=True),
-    )
+    ),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for `argv`: the top level and only the command that
+    argv[0] names.  Any other argv (no arguments, -h, an unknown command)
+    gets every command, since the top-level help and its "invalid choice"
+    message list them all; a leaf's own help and errors do not depend on
+    its siblings."""
+    ap = _Parser(prog="alexlab", description=__doc__)
+    sub = ap.add_subparsers(dest="command", required=True)
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        _COMMANDS[name](sub, name)
     return ap
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    ap = build_parser(argv)
     try:
-        args = ap.parse_args(argv)
+        try:
+            args = ap.parse_args(argv)
+        except SystemExit as exc:  # -h printed the help; argparse exits 0
+            return exc.code
         sys.stdout.write(args.func(args))
         return 0
     except ParseError as exc:

@@ -743,8 +743,13 @@ class CycloElement:
         o = self._lift(other)
         return CycloElement(self.order, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
 
     def __neg__(self):
         return CycloElement(self.order, tuple(-a for a in self.coeffs))
@@ -752,6 +757,8 @@ class CycloElement:
     def __mul__(self, other):
         o = self._lift(other)
         return CycloElement.from_poly(self.order, _mul(self.coeffs, o.coeffs))
+
+    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

@@ -359,3 +359,90 @@ def test_non_utf8_file_exits_1(capsys, tmp_path, trefoil_file):
     code, out, err = run_cli(capsys, "mcmullen", trefoil_file, "--data", str(data))
     assert (code, out) == (1, "")
     assert err.startswith("error: cannot read %s: " % data)
+
+
+# -- the parser: one leaf per command, the full tree for help and usage errors --
+
+COMMANDS = (
+    "abelianize", "delta", "thickness", "norm", "ball", "cv",
+    "test", "sum", "tori", "build", "mcmullen",
+)
+
+PARSER_ARGVS = (
+    [["-h"]]
+    + [[c, "-h"] for c in COMMANDS]
+    + [["tori", "intersect", "-h"]]
+    + [["build", family, "-h"] for family in ("torusbundle", "torusknot", "freebycyclic")]
+    + [
+        [],  # no arguments
+        ["frobnicate", "trefoil.fp"],  # unknown command
+        ["--machine", "cv", "trefoil.fp"],  # leading option
+        ["delta", "--k", "1"],  # missing positional
+        ["cv", "trefoil.fp"],  # missing --rho
+        ["delta", "trefoil.fp", "--k", "one"],  # non-integer --k
+        ["test", "hodge", "trefoil.fp"],  # bad choice
+        ["ball", "trefoil.fp", "extra"],  # extra argument
+        ["tori"],
+        ["build"],
+        ["build", "torusknot", "--p", "2"],
+        ["cv", "trefoil.fp", "--rho", "-1/6"],
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_lazy_parser_matches_full_tree(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "trefoil.fp").write_text(TREFOIL_FP)
+    lazy = run_cli(capsys, *argv)
+    full_tree = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=(): full_tree())
+    assert run_cli(capsys, *argv) == lazy
+    code, out, err = lazy
+    if "-h" in argv:  # run returns the help's exit code instead of raising SystemExit
+        assert (code, err) == (0, "") and out.startswith("usage: alexlab")
+        assert argv != ["-h"] or all(c in out for c in COMMANDS)
+    else:
+        assert (code, out) == (1, "") and err.startswith("error: ")
+
+
+def test_cv_request_adds_one_leaf(capsys, monkeypatch, trefoil_file):
+    leaves = []
+    real_leaf = cli._leaf
+
+    def counting_leaf(sub, name, *args, **kwargs):
+        leaves.append(name)
+        real_leaf(sub, name, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_leaf", counting_leaf)
+    code, out, _ = run_cli(capsys, "cv", trefoil_file, "--rho", "1/6")
+    assert (code, out) == (0, "dim: 1\nV_1: yes\n")
+    assert leaves == ["cv"]
+
+
+def test_module_entry_point(capsys, trefoil_file):
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def entry(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "alexlab", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    argv = ["cv", trefoil_file, "--rho", "1/6", "--machine"]
+    proc = entry(*argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run_cli(capsys, *argv)[1]
+    proc = entry("-h")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: alexlab")
+    proc = entry()
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ")

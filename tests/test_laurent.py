@@ -642,6 +642,10 @@ def test_cyclo_element_field_ops():
     assert (z + 1) - 1 == z
     assert z * z * z * z * z == 1
     assert z * z * z * z + z * z * z + z * z + z + 1 == 0
+    # an int on the left works as on the right
+    assert 1 + z == z + 1
+    assert 2 * z == z * 2
+    assert 1 - z == -(z - 1)
 
 
 def test_cyclotomic_coeffs_rebuild_phi_and_reduce():
