@@ -19,7 +19,7 @@ the UFD Z[H].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -122,10 +122,12 @@ class FoxReduction:
     nonzero pattern; zero rows are dropped, and a column without a nonzero
     entry is a block with no rows (k0 = 1, Delta^1 = 1).  Both ranks (over
     Frac Z[H], and at a torsion character, where a unit becomes a root of
-    unity) are the pivot count plus the blocks' ranks."""
+    unity) are the pivot count plus the blocks' ranks.  `orders` memoizes
+    each Delta^k of F as `order_k` computes it."""
 
     pivots: int
     blocks: tuple[_Block, ...]
+    orders: dict[int, LaurentPoly] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def width(self) -> int:
@@ -297,15 +299,23 @@ def order_k(F: FoxMatrix, k: int) -> LaurentPoly:
     Delta^k = gcd over k_1 + .. + k_n = k of prod Delta_b^{k_b}.
     At k = k0 the only nonzero term is prod Delta_b^{k0_b}: no gcd across
     blocks.  Above k0 a dynamic program over the blocks takes the gcd.
+    Each Delta^k is computed once per matrix and kept on its reduction.
     """
     if k < 0:
         raise DomainError("k must be nonnegative")
     R = reduction(F)
+    g = R.orders.get(k)
+    if g is None:
+        g = R.orders[k] = _order_k(R, k, F.nvars)
+    return g
+
+
+def _order_k(R: FoxReduction, k: int, nvars: int) -> LaurentPoly:
     if k >= R.width:
-        return LaurentPoly.one(F.nvars)
+        return LaurentPoly.one(nvars)
     excess = k - sum(b.k0() for b in R.blocks)
     if excess < 0:
-        return LaurentPoly.zero(F.nvars)
+        return LaurentPoly.zero(nvars)
     # acc[e]: gcd over the blocks so far of the products whose indices
     # exceed those blocks' k0_b by e in total.
     acc = None

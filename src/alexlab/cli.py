@@ -101,10 +101,11 @@ def _doc(value):
     return value
 
 
-def _emit(doc: dict, human: str, machine: bool) -> str:
-    if machine:
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    return human
+def _emit(doc: dict) -> str:
+    """The --machine form of a result: one line of sorted, compact JSON.
+    Each command builds its document only under --machine and its human
+    text only without it."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _first_order(p: fpgroup.GroupPresentation):
@@ -129,114 +130,135 @@ def _report_human(r: obstruct.ObstructionReport) -> str:
 def _cmd_abelianize(args) -> str:
     p = _load_presentation(args.file)
     ab = fpgroup.abelianize(p)
-    doc = {
-        "command": "abelianize",
-        "file": args.file,
-        "result": dict(_doc(ab), generators=list(p.generators)),
-    }
+    if args.machine:
+        return _emit(
+            {
+                "command": "abelianize",
+                "file": args.file,
+                "result": dict(_doc(ab), generators=list(p.generators)),
+            }
+        )
     lines = ["b1: %d" % ab.b1]
     lines.append("torsion: %s" % (" ".join(str(t) for t in ab.torsion) or "none"))
     for name, img in zip(p.generators, ab.images):
         lines.append("image %s: (%s)" % (name, ", ".join(str(x) for x in img)))
-    return _emit(doc, "\n".join(lines) + "\n", args.machine)
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_delta(args) -> str:
     F = fpgroup.fox_matrix(_load_presentation(args.file))
     d = alexinv.order_k(F, args.k)
     text = d.text()
-    doc = {
-        "command": "delta",
-        "file": args.file,
-        "k": args.k,
-        "result": {"delta": _doc(d), "text": text},
-    }
-    return _emit(doc, text + "\n", args.machine)
+    if args.machine:
+        return _emit(
+            {
+                "command": "delta",
+                "file": args.file,
+                "k": args.k,
+                "result": {"delta": _doc(d), "text": text},
+            }
+        )
+    return text + "\n"
 
 
 def _cmd_thickness(args) -> str:
     k0, delta = _first_order(_load_presentation(args.file))
     th = laurent.newton_dim(delta)
-    doc = {
-        "command": "thickness",
-        "file": args.file,
-        "result": {"k0": k0, "delta": _doc(delta), "thickness": th},
-    }
-    return _emit(doc, "%d\n" % th, args.machine)
+    if args.machine:
+        return _emit(
+            {
+                "command": "thickness",
+                "file": args.file,
+                "result": {"k0": k0, "delta": _doc(delta), "thickness": th},
+            }
+        )
+    return "%d\n" % th
 
 
 def _cmd_norm(args) -> str:
     _, delta = _first_order(_load_presentation(args.file))
     phi = norms.CohomologyClass.of(_csv_ints(args.phi))
     value = norms.alexander_norm(delta, phi)
-    doc = {
-        "command": "norm",
-        "file": args.file,
-        "phi": _doc(phi.phi),
-        "result": {"alexander_norm": value, "delta": _doc(delta)},
-    }
-    return _emit(doc, "%d\n" % value, args.machine)
+    if args.machine:
+        return _emit(
+            {
+                "command": "norm",
+                "file": args.file,
+                "phi": _doc(phi.phi),
+                "result": {"alexander_norm": value, "delta": _doc(delta)},
+            }
+        )
+    return "%d\n" % value
 
 
 def _cmd_ball(args) -> str:
     _, delta = _first_order(_load_presentation(args.file))
     ball = norms.support_polytope(delta)
-    doc = {"command": "ball", "file": args.file, "result": _doc(ball)}
-    human = "".join("(%s)\n" % ", ".join(str(x) for x in v) for v in ball.vertices)
-    return _emit(doc, human, args.machine)
+    if args.machine:
+        return _emit({"command": "ball", "file": args.file, "result": _doc(ball)})
+    return "".join("(%s)\n" % ", ".join(str(x) for x in v) for v in ball.vertices)
 
 
 def _cmd_cv(args) -> str:
     F = fpgroup.fox_matrix(_load_presentation(args.file))
     rho = alexinv.CharacterPoint(tuple(_csv_fractions(args.rho)))
     rep = alexinv.cv_dim(F, rho, kmax=args.k)
-    doc = {
-        "command": "cv",
-        "file": args.file,
-        "rho": _doc(rho.rho),
-        "k": args.k,
-        "result": dict(_doc(rep), order=rho.order),
-    }
+    if args.machine:
+        return _emit(
+            {
+                "command": "cv",
+                "file": args.file,
+                "rho": _doc(rho.rho),
+                "k": args.k,
+                "result": dict(_doc(rep), order=rho.order),
+            }
+        )
     lines = ["dim: %d" % rep.dim]
     for k, flag in enumerate(rep.memberships, start=1):
         lines.append("V_%d: %s" % (k, "yes" if flag else "no"))
-    return _emit(doc, "\n".join(lines) + "\n", args.machine)
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_test(args) -> str:
     p = _load_presentation(args.file)
     run = obstruct.kahler_test if args.which == "kahler" else obstruct.qp_test
     rep = run(p, kmax=args.kmax)
-    doc = {
-        "command": "test",
-        "file": args.file,
-        "kmax": args.kmax,
-        "result": _doc(rep),
-    }
-    return _emit(doc, _report_human(rep), args.machine)
+    if args.machine:
+        return _emit(
+            {
+                "command": "test",
+                "file": args.file,
+                "kmax": args.kmax,
+                "result": _doc(rep),
+            }
+        )
+    return _report_human(rep)
 
 
 def _cmd_sum(args) -> str:
     ps = [_load_presentation(f) for f in args.files]
     rep = obstruct.connected_sum_report(ps, kmax=args.kmax)
-    doc = {
-        "command": "sum",
-        "files": list(args.files),
-        "kmax": args.kmax,
-        "result": {
-            "factors": _doc(rep.factors),
-            "product": {
-                "presentation": fpgroup.serialize_presentation(rep.product),
-                "b1": rep.product_b1,
-                "k0": rep.product_k0,
-                "delta": _doc(rep.product_delta),
-                "thickness": rep.product_thickness,
-            },
-            "thickness_additive": rep.thickness_additive,
-            "delta_divisible": rep.delta_divisible,
-            "qp": _doc(rep.qp),
-        },
-    }
+    if args.machine:
+        return _emit(
+            {
+                "command": "sum",
+                "files": list(args.files),
+                "kmax": args.kmax,
+                "result": {
+                    "factors": _doc(rep.factors),
+                    "product": {
+                        "presentation": fpgroup.serialize_presentation(rep.product),
+                        "b1": rep.product_b1,
+                        "k0": rep.product_k0,
+                        "delta": _doc(rep.product_delta),
+                        "thickness": rep.product_thickness,
+                    },
+                    "thickness_additive": rep.thickness_additive,
+                    "delta_divisible": rep.delta_divisible,
+                    "qp": _doc(rep.qp),
+                },
+            }
+        )
     lines = []
     for i, f in enumerate(rep.factors, start=1):
         lines.append(
@@ -252,24 +274,27 @@ def _cmd_sum(args) -> str:
     lines.append("qp verdict: %s" % rep.qp.verdict)
     for w in rep.qp.witnesses:
         lines.append("witness: %s" % w)
-    return _emit(doc, "\n".join(lines) + "\n", args.machine)
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_tori(args) -> str:
     t1 = parse_torus_spec(args.t1)
     t2 = parse_torus_spec(args.t2)
     rep = torusgeo.intersect(t1, t2)
-    doc = {
-        "command": "tori.intersect",
-        "t1": args.t1,
-        "t2": args.t2,
-        "result": _doc(rep),
-    }
+    if args.machine:
+        return _emit(
+            {
+                "command": "tori.intersect",
+                "t1": args.t1,
+                "t2": args.t2,
+                "result": _doc(rep),
+            }
+        )
     lines = ["meets: %s" % ("yes" if rep.meets else "no")]
     if rep.meets:
         lines.append("dim: %d" % rep.dim)
     lines.append("parallel: %s" % ("yes" if rep.parallel else "no"))
-    return _emit(doc, "\n".join(lines) + "\n", args.machine)
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_build(args) -> str:
@@ -294,8 +319,9 @@ def _cmd_build(args) -> str:
             )
         p = builders.free_by_cyclic(images)
     text = fpgroup.serialize_presentation(p)
-    doc = {"command": "build", "family": args.family, "result": {"presentation": text}}
-    return _emit(doc, text, args.machine)
+    if args.machine:
+        return _emit({"command": "build", "family": args.family, "result": {"presentation": text}})
+    return text
 
 
 def _cmd_mcmullen(args) -> str:
@@ -303,26 +329,29 @@ def _cmd_mcmullen(args) -> str:
     data = norms.parse_thurston_data(_read_file(args.data))
     _, delta = _first_order(p)
     rep = norms.mcmullen_check(delta, data)
-    doc = {
-        "command": "mcmullen",
-        "file": args.file,
-        "data": args.data,
-        "result": {
-            "delta": _doc(delta),
-            "entries": [
-                {
-                    "phi": _doc(e.datum.phi.phi),
-                    "thurston": e.datum.thurston,
-                    "fibered": e.datum.fibered,
-                    "alexander": e.alexander,
-                    "status": e.status,
-                    "reason": e.reason,
-                }
-                for e in rep.entries
-            ],
-            "all_pass": rep.all_pass,
-        },
-    }
+    if args.machine:
+        return _emit(
+            {
+                "command": "mcmullen",
+                "file": args.file,
+                "data": args.data,
+                "result": {
+                    "delta": _doc(delta),
+                    "entries": [
+                        {
+                            "phi": _doc(e.datum.phi.phi),
+                            "thurston": e.datum.thurston,
+                            "fibered": e.datum.fibered,
+                            "alexander": e.alexander,
+                            "status": e.status,
+                            "reason": e.reason,
+                        }
+                        for e in rep.entries
+                    ],
+                    "all_pass": rep.all_pass,
+                },
+            }
+        )
     lines = []
     for e in rep.entries:
         lines.append(
@@ -336,7 +365,7 @@ def _cmd_mcmullen(args) -> str:
             )
         )
     lines.append("all: %s" % ("PASS" if rep.all_pass else "FAIL"))
-    return _emit(doc, "\n".join(lines) + "\n", args.machine)
+    return "\n".join(lines) + "\n"
 
 
 # -- wiring -----------------------------------------------------------------------

@@ -74,6 +74,10 @@ class GroupPresentation:
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
     warnings: tuple[str, ...] = field(default=(), compare=False)
+    # The abelianized Fox matrix, set by `fox_matrix` on first use, so every
+    # analysis of this object shares one matrix and its reduction.  Equal
+    # presentations built separately share nothing.
+    fox: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.generators)) != len(self.generators):
@@ -241,6 +245,10 @@ def fox_matrix(p: GroupPresentation) -> FoxMatrix:
     the x entry, and x^-e contributes -u x^-e (1 + x + ... + x^(e-1)); each
     entry's terms gather in one dict, so the cost is linear in the letter
     count, which is checked against `max_fox_letters` before any expansion.
+
+    The matrix is computed once per presentation object and kept on it (the
+    `fox` slot); later calls on the same object check the letter budget
+    again and return the same matrix, with its reduction and orders.
     """
     letters = sum(abs(e) for r in p.relators for _, e in r.syllables)
     limit = max_fox_letters()
@@ -249,6 +257,8 @@ def fox_matrix(p: GroupPresentation) -> FoxMatrix:
             "Fox expansion of %d letters exceeds the limit of %d; "
             "set ALEXLAB_MAX_LETTERS to raise the limit" % (letters, limit)
         )
+    if p.fox is not None:
+        return p.fox
     ab = abelianize(p)
     n = ab.b1
     g = len(p.generators)
@@ -269,7 +279,8 @@ def fox_matrix(p: GroupPresentation) -> FoxMatrix:
                 acc[key] = acc.get(key, 0) + sign
             prefix = after
         rows.append(tuple(LaurentPoly._make(n, acc) for acc in row))
-    return FoxMatrix(tuple(rows), ab, warnings)
+    object.__setattr__(p, "fox", FoxMatrix(tuple(rows), ab, warnings))
+    return p.fox
 
 
 # -- free products ---------------------------------------------------------------

@@ -182,14 +182,13 @@ class LaurentPoly:
 
     def canonical(self) -> "LaurentPoly":
         """The distinguished associate: min exponent 0 in each variable and a
-        positive coefficient on the lex-largest exponent vector."""
+        positive coefficient on the lex-largest exponent vector.  A canonical
+        polynomial is returned as it is."""
         if self.is_zero():
             return self
-        shift = tuple(-m for m in self.min_exponents())
-        p = self.shift(shift)
-        if p.terms[-1][1] < 0:
-            p = -p
-        return p
+        low = self.min_exponents()
+        p = self.shift(tuple(-m for m in low)) if any(low) else self
+        return p if p.terms[-1][1] > 0 else -p
 
     def unit_equal(self, other: "LaurentPoly") -> bool:
         return self.canonical() == other.canonical()
@@ -417,15 +416,24 @@ def _heu_gcd(f: dict, g: dict, n: int) -> dict:
 
 
 def _eval_last(f: dict, xi: int) -> dict:
-    """f with its last variable set to xi, zero coefficients dropped."""
-    powers = [1]
-    for _ in range(max(e[-1] for e in f)):
-        powers.append(powers[-1] * xi)
-    out: dict = {}
+    """f with its last variable set to xi, zero coefficients dropped.
+
+    Horner's rule on each slice of fixed other exponents, from its top
+    degree down, so only one value of up to deg * log2(xi) bits is live at
+    a time: memory stays linear in the size of the result."""
+    slices: dict = {}
     for e, c in f.items():
-        key = e[:-1]
-        out[key] = out.get(key, 0) + c * powers[e[-1]]
-    return {e: c for e, c in out.items() if c}
+        slices.setdefault(e[:-1], []).append((e[-1], c))
+    out = {}
+    for key, terms in slices.items():
+        terms.sort(reverse=True)
+        acc, d = 0, terms[0][0]
+        for k, c in terms:
+            acc = acc * xi ** (d - k) + c
+            d = k
+        if acc:
+            out[key] = acc * xi**d
+    return out
 
 
 def _lift_last(h: dict, xi: int) -> dict:

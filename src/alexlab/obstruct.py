@@ -86,10 +86,8 @@ def qp_test(p: GroupPresentation, kmax: int = DEFAULT_KMAX) -> ObstructionReport
     reports INCONCLUSIVE."""
     _check_kmax(kmax)
     F = fox_matrix(p)
-    return _qp_report(F.abelianization.b1, kmax, *_order_data(F, kmax))
-
-
-def _qp_report(b1: int, kmax: int, k0: int, deltas, th: int) -> ObstructionReport:
+    b1 = F.abelianization.b1
+    k0, deltas, th = _order_data(F, kmax)
     witnesses = []
     per_k = []
     for k, delta in zip(range(k0, kmax + 1), deltas):
@@ -162,10 +160,12 @@ def connected_sum_report(ps, kmax: int = DEFAULT_KMAX) -> ConnectedSumReport:
     if len(ps) < 2:
         raise DomainError("connected sum needs at least two presentations")
     product = free_product_many(ps)
+    # The product's Fox matrix and orders are kept on `product`: the
+    # quasi-projectivity test computes them, and the checks below reuse them.
+    qp = qp_test(product, kmax)
     prod_F = fox_matrix(product)
     prod_ab = prod_F.abelianization
-    prod_k0, prod_deltas, prod_th = _order_data(prod_F, kmax)
-    prod_delta = prod_deltas[0]
+    prod_delta = alexinv.order_k(prod_F, qp.k0)
 
     factors = []
     embedded = LaurentPoly.one(prod_ab.b1)
@@ -186,16 +186,15 @@ def connected_sum_report(ps, kmax: int = DEFAULT_KMAX) -> ConnectedSumReport:
         embedded = embedded * laurent.apply_exponent_map(delta, rows, prod_ab.b1)
         offset += g
 
-    additive = prod_th == sum(f.thickness for f in factors)
+    additive = qp.thickness == sum(f.thickness for f in factors)
     divisible = laurent.divides(embedded.canonical(), prod_delta)
-    qp = _qp_report(prod_ab.b1, kmax, prod_k0, prod_deltas, prod_th)
     return ConnectedSumReport(
         tuple(factors),
         product,
         prod_ab.b1,
-        prod_k0,
+        qp.k0,
         prod_delta,
-        prod_th,
+        qp.thickness,
         additive,
         divisible,
         qp,

@@ -22,6 +22,7 @@ from alexlab.fpgroup import (
     free_product,
     free_product_many,
     parse_presentation,
+    serialize_presentation,
 )
 from alexlab.laurent import CycloElement, LaurentPoly
 
@@ -586,6 +587,11 @@ def test_tietze_new_generator_keeps_orders(entry, pairs):
         assert moved == order_k(F, k), (entry.name, k)
 
 
+def _fresh(p: GroupPresentation) -> GroupPresentation:
+    """A new presentation object equal to p, with no analysis kept on it."""
+    return GroupPresentation(p.generators, p.relators, p.warnings)
+
+
 def test_reduction_runs_once_per_fox_matrix(monkeypatch):
     reduced = []
     reduce = alexinv._reduce
@@ -596,10 +602,49 @@ def test_reduction_runs_once_per_fox_matrix(monkeypatch):
 
     monkeypatch.setattr(alexinv, "_reduce", counted)
     for entry in ALL:
+        p = _fresh(entry.presentation)
         del reduced[:]
-        obstruct.kahler_test(entry.presentation)
+        obstruct.kahler_test(p)
         assert len(reduced) == 1, entry.name
+        # Every later analysis of the same object reuses that reduction.
+        obstruct.qp_test(p)
+        F = fox_matrix(p)
+        first_order(F)
+        cv_dim(F, CharacterPoint((Fraction(1, 5),) * F.nvars))
+        assert len(reduced) == 1, entry.name
+    # Equal presentations parsed separately share nothing.
+    text = serialize_presentation(TREFOIL.presentation)
+    p, q = parse_presentation(text), parse_presentation(text)
+    assert p == q
     del reduced[:]
-    obstruct.connected_sum_report([TREFOIL.presentation, FIG8.presentation, SOL3.presentation])
+    obstruct.kahler_test(p)
+    obstruct.kahler_test(q)
+    assert len(reduced) == 2 and reduced[0] is not reduced[1]
+    del reduced[:]
+    obstruct.connected_sum_report([_fresh(e.presentation) for e in (TREFOIL, FIG8, SOL3)])
     assert len(reduced) == 4  # the product and each factor
     assert len({id(F) for F in reduced}) == 4
+
+
+def test_kahler_then_qp_compute_each_rank_and_order_once(monkeypatch):
+    ranks, orders = [], []
+    frac_rank, order = alexinv._frac_rank, alexinv._order_k
+
+    def counted_rank(m):
+        ranks.append(m)
+        return frac_rank(m)
+
+    def counted_order(R, k, nvars):
+        orders.append(k)
+        return order(R, k, nvars)
+
+    monkeypatch.setattr(alexinv, "_frac_rank", counted_rank)
+    monkeypatch.setattr(alexinv, "_order_k", counted_order)
+    for entry in ALL:
+        p = _fresh(entry.presentation)
+        del ranks[:], orders[:]
+        k0 = obstruct.kahler_test(p).k0
+        obstruct.qp_test(p)
+        R = alexinv.reduction(fox_matrix(p))
+        assert len(ranks) == len(R.blocks), entry.name
+        assert orders == list(range(k0, max(k0, obstruct.DEFAULT_KMAX) + 1)), entry.name

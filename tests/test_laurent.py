@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,23 @@ def _division_cases(draw):
         q = draw(_laurent_polys(nvars))
         return d * q, d, q
     return draw(_laurent_polys(nvars, max_terms=8)), d, None
+
+
+def _reference_canonical(p):
+    """Shift to min exponents 0, then negate if the lex-max coefficient is
+    negative, always building a new polynomial."""
+    if p.is_zero():
+        return p
+    q = p.shift(tuple(-m for m in p.min_exponents()))
+    return -q if q.terms[-1][1] < 0 else q
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3).flatmap(_laurent_polys))
+def test_canonical_matches_reference_and_keeps_canonical_inputs(p):
+    c = p.canonical()
+    assert c == _reference_canonical(p)
+    assert c.canonical() is c
 
 
 @settings(max_examples=400, deadline=None)
@@ -359,6 +377,49 @@ def test_gcd_without_a_certified_candidate_raises_limit_error(monkeypatch):
             raised += 1
     assert time.perf_counter() - start < 1.0
     assert raised >= 70
+
+
+def _thue_morse(n):
+    """prod_{i < n} (1 - t^(2^i)): 2^n terms of degree up to 2^n - 1."""
+    p = ONE
+    for i in range(n):
+        p = p * (ONE - T ** (2**i))
+    return p
+
+
+def _reference_eval_last(f, xi):
+    powers = [1]
+    for _ in range(max(e[-1] for e in f)):
+        powers.append(powers[-1] * xi)
+    out = {}
+    for e, c in f.items():
+        out[e[:-1]] = out.get(e[:-1], 0) + c * powers[e[-1]]
+    return {e: c for e, c in out.items() if c}
+
+
+def test_eval_last_matches_power_list_reference():
+    rng = random.Random(13)
+    for _ in range(300):
+        nvars = rng.randint(1, 3)
+        f = dict(random_poly(rng, nvars, max_terms=8, max_exp=6, max_coeff=9).terms)
+        xi = rng.choice((2, 3, 7, 1000, 10**6 + 3))
+        assert laurent._eval_last(f, xi) == _reference_eval_last(f, xi)
+    # A slice that evaluates to zero is dropped: (t - 2) x at t = 2.
+    assert laurent._eval_last({(1, 1): 1, (1, 0): -2, (0, 0): 5}, 2) == {(0,): 5}
+
+
+def test_eval_last_memory_is_linear_in_the_degree():
+    # The power list xi^0 .. xi^4095 alone takes about 22 MB.
+    f = dict(_thue_morse(12).terms)
+    xi = 10**6 + 3
+    tracemalloc.start()
+    try:
+        out = laurent._eval_last(f, xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert out == _reference_eval_last(f, xi)
 
 
 def test_gcd_heuristic_certifies_its_candidates():
