@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from . import exactla, laurent
@@ -40,7 +41,9 @@ class OrderSequence:
 
 @dataclass(frozen=True)
 class CharacterPoint:
-    """A torsion character of H = Z^b1: rationals mod 1, one per variable."""
+    """A torsion character of H = Z^b1: rationals mod 1, one per variable.
+    Its order m and its numerators a_i = m rho_i are computed once per
+    point."""
 
     rho: tuple[Fraction, ...]
 
@@ -49,9 +52,13 @@ class CharacterPoint:
             self, "rho", tuple(Fraction(x) % 1 for x in self.rho)
         )
 
-    @property
+    @cached_property
     def order(self) -> int:
         return laurent.character_order(self.rho)
+
+    @cached_property
+    def numerators(self) -> tuple[int, ...]:
+        return laurent._character_numerators(self.rho, self.order)
 
     def is_trivial(self) -> bool:
         return all(x == 0 for x in self.rho)
@@ -123,11 +130,13 @@ class FoxReduction:
     entry is a block with no rows (k0 = 1, Delta^1 = 1).  Both ranks (over
     Frac Z[H], and at a torsion character, where a unit becomes a root of
     unity) are the pivot count plus the blocks' ranks.  `orders` memoizes
-    each Delta^k of F as `order_k` computes it."""
+    each Delta^k of F as `order_k` computes it, and `newton_dims` the
+    Newton dimension of each as `order_newton_dim` computes it."""
 
     pivots: int
     blocks: tuple[_Block, ...]
     orders: dict[int, LaurentPoly] = field(default_factory=dict, repr=False, compare=False)
+    newton_dims: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def width(self) -> int:
@@ -334,6 +343,19 @@ def _order_k(R: FoxReduction, k: int, nvars: int) -> LaurentPoly:
     return acc[excess]
 
 
+def order_newton_dim(F: FoxMatrix, k: int) -> int:
+    """Dimension of the Newton polytope of Delta^k (nonzero, so k >= k0),
+    computed once per matrix and kept on its reduction next to Delta^k."""
+    R = reduction(F)
+    nd = R.newton_dims.get(k)
+    if nd is None:
+        delta = R.orders.get(k)
+        if delta is None:
+            delta = order_k(F, k)
+        nd = R.newton_dims[k] = laurent.newton_dim(delta)
+    return nd
+
+
 def rank_over_fractions(F: FoxMatrix) -> int:
     """Rank of the Fox matrix over the fraction field of Z[H]: the pivot
     count of `reduction(F)` plus its blocks' ranks."""
@@ -358,8 +380,7 @@ def order_sequence(F: FoxMatrix, kmax: int) -> OrderSequence:
 
 def thickness(F: FoxMatrix) -> int:
     """Dimension of the Newton polytope of the first nonvanishing order."""
-    _, delta = first_order(F)
-    return laurent.newton_dim(delta)
+    return order_newton_dim(F, first_order(F)[0])
 
 
 # -- twisted homology at a character ---------------------------------------------
@@ -373,11 +394,12 @@ def thickness(F: FoxMatrix) -> int:
 CV_MAX_ORDER = 5000
 
 
-def _character_rank(b: _Block, rho: tuple) -> int:
+def _character_rank(b: _Block, rho: CharacterPoint) -> int:
     """Rank of the block at the character rho of order m, by the same
     `exactla.bareiss` call as `_frac_rank`, over Z[t] instead of Q(zeta_m).
 
-    Each entry is evaluated exactly into Z[zeta_m] and lifted to the
+    Each entry is reduced mod Phi_m at the character's numerators, i.e.
+    evaluated exactly into Z[zeta_m], and lifted to the
     polynomial of degree < phi(m) in Z[t] with those coefficients, which
     takes the entry's value at t = zeta_m.  `size` keeps the degree-first
     pivot order but refuses an entry that vanishes at zeta_m, i.e. is zero
@@ -391,20 +413,18 @@ def _character_rank(b: _Block, rho: tuple) -> int:
     elimination goes on exactly while some remaining entry is nonzero at
     zeta_m, and stops at the rank.
     """
-    m = laurent.character_order(rho)
-    phi, zeta = laurent.euler_phi(m), (Fraction(1, m),)
+    m, nums = rho.order, rho.numerators
+    phi = laurent.euler_phi(m)
+    residue = laurent._cyclotomic_residue
 
     def size(e: LaurentPoly):
         key = _poly_size(e)
-        if key and key[0] >= phi and laurent.evaluate_at_character(e, zeta).is_zero():
+        if key and key[0] >= phi and not any(residue(e, (1,), m)):
             return None
         return key
 
     lift = laurent._from_dense
-    lifts = [
-        [lift(laurent.evaluate_at_character(b.entries[i][j], rho).coeffs) for j in b.cols]
-        for i in b.rows
-    ]
+    lifts = [[lift(residue(b.entries[i][j], nums, m)) for j in b.cols] for i in b.rows]
     return exactla.bareiss(lifts, _exact_div, size)[0]
 
 
@@ -431,7 +451,7 @@ def cv_dim(F: FoxMatrix, rho: CharacterPoint, kmax: int | None = None) -> CvRepo
         dim = F.abelianization.b1
     else:
         R = reduction(F)
-        rank = R.pivots + sum(_character_rank(b, rho.rho) for b in R.blocks)
+        rank = R.pivots + sum(_character_rank(b, rho) for b in R.blocks)
         dim = F.cols - 1 - rank
     top = kmax if kmax is not None else max(dim, 0)
     return CvReport(dim, tuple(dim >= k for k in range(1, top + 1)))

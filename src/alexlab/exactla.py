@@ -182,8 +182,8 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
     """
     nr, nc = A.rows, A.cols
     d = A.row_list()
-    u = IntMatrix.identity(nr).row_list()
-    v = IntMatrix.identity(nc).row_list()
+    u = _identity_rows(nr)
+    v = _identity_rows(nc)
 
     t = 0
     while t < min(nr, nc):
@@ -247,11 +247,16 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
             d[i] = [-x for x in d[i]]
             u[i] = [-x for x in u[i]]
 
-    return SnfResult(
-        U=IntMatrix.from_rows(u) if nr else IntMatrix.zero(0, 0),
-        D=IntMatrix.from_rows(d) if nr else IntMatrix.zero(0, nc),
-        V=IntMatrix.from_rows(v) if nc else IntMatrix.zero(0, 0),
-    )
+    return SnfResult(_wrap(nr, nr, u), _wrap(nr, nc, d), _wrap(nc, nc, v))
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _wrap(nr: int, nc: int, rows) -> IntMatrix:
+    """An IntMatrix of row lists whose entries are ints already."""
+    return IntMatrix(nr, nc, tuple(x for r in rows for x in r))
 
 
 def kernel_basis(A: IntMatrix) -> list[tuple[int, ...]]:
@@ -265,9 +270,10 @@ def kernel_basis(A: IntMatrix) -> list[tuple[int, ...]]:
 def hermite_row_basis(rows, ambient: int) -> list[tuple[int, ...]]:
     """Canonical (row-style HNF) basis of the lattice generated by `rows`.
 
-    Pivots positive, entries above each pivot reduced into [0, pivot).
-    Two generating sets span the same lattice iff their Hermite bases
-    are equal, which is how lattice equality is tested.
+    Pivots positive, entries above each pivot reduced into [0, pivot),
+    pivot by pivot from the top.  Two generating sets span the same lattice
+    iff their Hermite bases are equal, which is how lattice equality is
+    tested.
     """
     m = [list(map(int, r)) for r in rows if any(r)]
     for r in m:
@@ -296,8 +302,10 @@ def hermite_row_basis(rows, ambient: int) -> list[tuple[int, ...]]:
         pivots.append((top, col))
         top += 1
     m = m[:top]
-    # Reduce entries above pivots for canonicity.
-    for r, c in reversed(pivots):
+    # Reduce entries above pivots for canonicity, top-down: a later pivot
+    # row is zero left of its pivot, so it leaves columns already reduced
+    # as they are.
+    for r, c in pivots:
         for i in range(r):
             q = m[i][c] // m[r][c]
             if q:
@@ -316,7 +324,9 @@ class Lattice:
         for b in self.basis:
             if len(b) != self.ambient:
                 raise DomainError("basis vector length does not match ambient rank")
-        if self.basis:
+        # Rows with strictly increasing leading columns (a Hermite basis
+        # among them) are independent; only another basis needs its rank.
+        if not _is_echelon(self.basis):
             r = integer_rank(IntMatrix.from_rows(self.basis))
             if r != len(self.basis):
                 raise DomainError("basis vectors are rationally dependent")
@@ -326,26 +336,36 @@ class Lattice:
         return len(self.basis)
 
 
+def _is_echelon(basis) -> bool:
+    """Every row nonzero, with leading columns strictly increasing."""
+    last = -1
+    for b in basis:
+        lead = next((j for j, x in enumerate(b) if x), None)
+        if lead is None or lead <= last:
+            return False
+        last = lead
+    return True
+
+
 def lattice_from_generators(ambient: int, rows) -> Lattice:
     """Lattice spanned by an arbitrary (possibly dependent) generating set."""
     return Lattice(ambient, tuple(hermite_row_basis(rows, ambient)))
 
 
 def saturate(L: Lattice) -> Lattice:
-    """Smallest lattice containing L whose quotient of Z^n is torsion-free.
+    """Smallest lattice containing L whose quotient of Z^n is torsion-free,
+    i.e. QL meet Z^n, from one Smith form U B V = D of the basis B.
 
-    Computed as the double integer kernel: ker(ker(L)^T), both kernels
-    being saturated by construction.
+    B = U^-1 D V^-1, so row i of U B is d_i times row i of V^-1, and the
+    first rank(B) rows of the unimodular V^-1 are a basis of QL meet Z^n.
     """
     if not L.basis:
         return L
-    K = kernel_basis(IntMatrix.from_rows(L.basis))
-    if not K:
-        return lattice_from_generators(
-            L.ambient, [tuple(1 if i == j else 0 for j in range(L.ambient)) for i in range(L.ambient)]
-        )
-    sat = kernel_basis(IntMatrix.from_rows(K))
-    return lattice_from_generators(L.ambient, sat)
+    B = IntMatrix.from_rows(L.basis)
+    snf = smith_normal_form(B)
+    UB = snf.U.mul(B)
+    rows = [[x // d for x in UB.row(i)] for i, d in enumerate(snf.D.diagonal()) if d]
+    return lattice_from_generators(L.ambient, rows)
 
 
 def lattice_sum(L1: Lattice, L2: Lattice) -> Lattice:

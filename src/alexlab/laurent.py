@@ -515,15 +515,19 @@ class UnivariateForm:
 
 def line_support(p: LaurentPoly) -> UnivariateForm | None:
     """When the support is a point or a segment, the primitive direction h
-    and the univariate polynomial along it; None when the support is wider."""
+    and the univariate polynomial along it; None when the support is wider.
+
+    One pass over the support decides both: h is the primitive vector of
+    the first difference from the first support point, and every support
+    point must be that point plus an integer multiple of h, else the
+    Newton polytope has dimension at least 2.  A point gives the direction
+    (1, 0, .., 0) and a constant."""
     if p.is_zero():
         raise DomainError("line_support of the zero polynomial")
     pts = p.support()
     if len(pts) == 1:
         direction = tuple(1 if i == 0 else 0 for i in range(p.nvars))
         return UnivariateForm(direction, LaurentPoly.constant(1, p.terms[0][1]))
-    if newton_dim(p) > 1:
-        return None
     base = pts[0]
     diffs = [tuple(a - b for a, b in zip(s, base)) for s in pts]
     d0 = next(d for d in diffs if any(d))
@@ -534,13 +538,14 @@ def line_support(p: LaurentPoly) -> UnivariateForm | None:
             if x < 0:
                 h = tuple(-y for y in h)
             break
-    # Every support point is base + k*h for an integer k.
+    # Every support point is base + k*h for an integer k, or the support
+    # is wider than a segment.
     href = next(i for i, x in enumerate(h) if x)
     ks = []
     for d in diffs:
         k, r = divmod(d[href], h[href])
         if r or any(d[i] != k * h[i] for i in range(p.nvars)):
-            raise DomainError("support not collinear")  # unreachable after rank check
+            return None
         ks.append(k)
     kmin = min(ks)
     acc = {}
@@ -783,6 +788,22 @@ def character_order(rho) -> int:
     return m
 
 
+def _character_numerators(rho, m: int) -> tuple[int, ...]:
+    """The a_i in [0, m) with rho_i = a_i / m mod 1 (rho of Fractions, m a
+    multiple of the character's order): x_i goes to zeta_m^(a_i)."""
+    return tuple(int(x * m) % m for x in rho)
+
+
+def _cyclotomic_residue(p: LaurentPoly, nums, m: int) -> list[int]:
+    """The coefficients of p(zeta_m^(a_1), .., zeta_m^(a_n)) on 1, zeta_m,
+    .., zeta_m^(phi(m)-1): p's exponents folded mod m by the numerators
+    `nums`, then the remainder mod Phi_m."""
+    coeffs = [0] * m
+    for e, c in p.terms:
+        coeffs[sum(ei * ai for ei, ai in zip(e, nums)) % m] += c
+    return _divmod(coeffs, _cyclotomic_coeffs(m))[1]
+
+
 def evaluate_at_character(p: LaurentPoly, rho) -> CycloElement:
     """Exact value of p at the torsion character exp(2*pi*i*rho), as an
     element of Z[zeta_m], m the character's order."""
@@ -790,11 +811,7 @@ def evaluate_at_character(p: LaurentPoly, rho) -> CycloElement:
     if len(rho) != p.nvars:
         raise DomainError("character length does not match variable count")
     m = character_order(rho)
-    nums = [int(x * m) % m for x in rho]
-    coeffs = [0] * m
-    for e, c in p.terms:
-        coeffs[sum(ei * ai for ei, ai in zip(e, nums)) % m] += c
-    return CycloElement.from_poly(m, coeffs)
+    return CycloElement(m, tuple(_cyclotomic_residue(p, _character_numerators(rho, m), m)))
 
 
 # -- misc helpers used by higher layers --------------------------------------

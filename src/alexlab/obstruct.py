@@ -49,12 +49,13 @@ def _check_kmax(kmax: int):
 
 
 def _order_data(F: FoxMatrix, kmax: int):
-    """k0, the orders Delta^k for k0 <= k <= max(k0, kmax) (Delta^{k0} is
-    always first), and the thickness, i.e. the Newton dimension of
-    Delta^{k0}."""
+    """k0, the thickness (the Newton dimension of Delta^{k0}), and
+    (k, Delta^k, its Newton dimension) for k0 <= k <= kmax, each read from
+    the memos on F's reduction."""
     k0, delta0 = alexinv.first_order(F)
-    deltas = (delta0,) + tuple(alexinv.order_k(F, k) for k in range(k0 + 1, kmax + 1))
-    return k0, deltas, laurent.newton_dim(delta0)
+    deltas = [delta0] + [alexinv.order_k(F, k) for k in range(k0 + 1, kmax + 1)]
+    per_k = [(k, d, alexinv.order_newton_dim(F, k)) for k, d in zip(range(k0, kmax + 1), deltas)]
+    return k0, alexinv.order_newton_dim(F, k0), per_k
 
 
 def kahler_test(p: GroupPresentation, kmax: int = DEFAULT_KMAX) -> ObstructionReport:
@@ -62,14 +63,13 @@ def kahler_test(p: GroupPresentation, kmax: int = DEFAULT_KMAX) -> ObstructionRe
     thickness 0.  Any failure is an obstruction witness."""
     _check_kmax(kmax)
     F = fox_matrix(p)
-    k0, deltas, th = _order_data(F, kmax)
+    k0, th, orders = _order_data(F, kmax)
     b1 = F.abelianization.b1
     witnesses = []
     if b1 % 2 == 1:
         witnesses.append("b1 = %d is odd" % b1)
     per_k = []
-    for k, delta in zip(range(k0, kmax + 1), deltas):
-        nd = laurent.newton_dim(delta)
+    for k, delta, nd in orders:
         per_k.append(PerKFinding(k, delta, nd, "n/a", None))
         if nd > 0:
             witnesses.append("Delta^%d = %s is non-constant" % (k, delta.text()))
@@ -87,11 +87,10 @@ def qp_test(p: GroupPresentation, kmax: int = DEFAULT_KMAX) -> ObstructionReport
     _check_kmax(kmax)
     F = fox_matrix(p)
     b1 = F.abelianization.b1
-    k0, deltas, th = _order_data(F, kmax)
+    k0, th, orders = _order_data(F, kmax)
     witnesses = []
     per_k = []
-    for k, delta in zip(range(k0, kmax + 1), deltas):
-        nd = laurent.newton_dim(delta)
+    for k, delta, nd in orders:
         if nd >= 2:
             per_k.append(PerKFinding(k, delta, nd, "n/a", None))
             witnesses.append(
@@ -174,7 +173,7 @@ def connected_sum_report(ps, kmax: int = DEFAULT_KMAX) -> ConnectedSumReport:
         F = fox_matrix(p)
         ab = F.abelianization
         k0, delta = alexinv.first_order(F)
-        th = laurent.newton_dim(delta)
+        th = alexinv.order_newton_dim(F, k0)
         factors.append(FactorSummary(ab.b1, k0, delta, th))
         g = len(p.generators)
         rows = _inclusion_rows(

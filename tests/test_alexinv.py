@@ -356,7 +356,7 @@ def test_cv_dim_inverts_each_pivot_once(monkeypatch):
             rank = _reference_rank(_evaluate_matrix(F, rho))
             assert rank >= 3
             del divisors[:]
-            assert alexinv._character_rank(whole, rho.rho) == rank, (p, m)
+            assert alexinv._character_rank(whole, rho) == rank, (p, m)
             assert 1 <= len({id(d) for d in divisors}) <= rank - 1
             assert cv_dim(F, rho).dim == F.cols - 1 - rank, (p, m)
 
@@ -492,7 +492,7 @@ def test_character_rank_of_dense_blocks(m):
                 rows[-1] = [phi_t1 * c + t1 * t1 * a for c, a in zip(rows[-1], rows[0])]
             block = alexinv._Block(rows, 2, tuple(range(nrows)), tuple(range(ncols)))
             ev = [[laurent.evaluate_at_character(e, rho.rho) for e in row] for row in rows]
-            rank = alexinv._character_rank(block, rho.rho)
+            rank = alexinv._character_rank(block, rho)
             assert rank == _reference_rank(ev), (nrows, ncols, kind)
             if kind == "phi" and nrows <= ncols:
                 assert rank < block.rank(), (nrows, ncols)
@@ -502,7 +502,7 @@ def test_character_rank_of_dense_blocks(m):
     half = LaurentPoly.monomial(2, (laurent.euler_phi(m) // 2, 0))
     rows = [[half, -LaurentPoly.one(2)], [phi_t1 - half * half, half]]
     block = alexinv._Block(rows, 2, (0, 1), (0, 1))
-    assert (alexinv._character_rank(block, rho.rho), block.rank()) == (1, 2)
+    assert (alexinv._character_rank(block, rho), block.rank()) == (1, 2)
 
 
 @st.composite
@@ -648,3 +648,27 @@ def test_kahler_then_qp_compute_each_rank_and_order_once(monkeypatch):
         R = alexinv.reduction(fox_matrix(p))
         assert len(ranks) == len(R.blocks), entry.name
         assert orders == list(range(k0, max(k0, obstruct.DEFAULT_KMAX) + 1)), entry.name
+
+
+def test_kahler_qp_and_sum_take_each_newton_dim_once(monkeypatch):
+    # The Newton dimension of each Delta^k is kept on the reduction next to
+    # Delta^k, so the two tests, the thickness and a connected sum of the
+    # same presentation objects read it once per k.
+    dims = []
+    newton_dim = laurent.newton_dim
+    monkeypatch.setattr(laurent, "newton_dim", lambda p: dims.append(p) or newton_dim(p))
+    for entry in ALL:
+        p = _fresh(entry.presentation)
+        del dims[:]
+        rep, qp = obstruct.kahler_test(p), obstruct.qp_test(p)
+        assert [f.newton_dim for f in qp.per_k] == [f.newton_dim for f in rep.per_k]
+        assert alexinv.thickness(fox_matrix(p)) == qp.thickness == rep.thickness
+        assert len(dims) == len(range(rep.k0, max(rep.k0, obstruct.DEFAULT_KMAX) + 1)), entry.name
+    for a, b in SUM_PAIRS:
+        ps = [_fresh(a.presentation), _fresh(b.presentation)]
+        for q in ps:
+            obstruct.kahler_test(q)
+        del dims[:]
+        rep = obstruct.connected_sum_report(ps)
+        qp_ks = max(rep.qp.k0, obstruct.DEFAULT_KMAX) + 1 - rep.qp.k0
+        assert len(dims) == qp_ks, (a.name, b.name)

@@ -153,6 +153,22 @@ def test_tori_cli(capsys):
     assert code == 1  # missing n
 
 
+def test_tori_cli_same_torus_two_ways_is_parallel(capsys):
+    # The same equation lattice from two generating sets: parallel compares
+    # saturated lattices, so it needs a canonical Hermite basis.
+    code, out, _ = run_cli(
+        capsys,
+        "tori",
+        "intersect",
+        "--t1",
+        "n=5;rows=(0,-2,1,1,0),(-2,-1,-2,-2,2),(-2,0,0,-1,-1)",
+        "--t2",
+        "n=5;rows=(0,-2,1,1,0),(-2,-3,-1,-1,2),(-2,0,0,-1,-1)",
+    )
+    assert code == 0
+    assert out == "meets: yes\ndim: 2\nparallel: yes\n"
+
+
 def test_build_round_trip(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "build", "torusknot", "--p", "2", "--q", "3")
     assert code == 0

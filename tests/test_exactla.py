@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from alexlab import exactla
+from alexlab.errors import DomainError
 from alexlab.exactla import IntMatrix, Lattice, lattice_from_generators
 
 
@@ -164,9 +165,90 @@ def test_saturate_idempotent_and_rank_preserving():
         assert s1.rank == L.rank
 
 
+def _saturate_reference(L):
+    """QL meet Z^n as the double integer kernel ker(ker(B)^T), B the basis."""
+    if not L.basis:
+        return L
+    K = exactla.kernel_basis(IntMatrix.from_rows(L.basis))
+    if not K:
+        return lattice_from_generators(L.ambient, IntMatrix.identity(L.ambient).row_list())
+    return lattice_from_generators(L.ambient, exactla.kernel_basis(IntMatrix.from_rows(K)))
+
+
+def test_saturate_matches_double_kernel():
+    rng = random.Random(2012)
+    kinds = {"zero": 0, "full": 0, "deficient": 0}
+    for t in range(300):
+        n = rng.randint(1, 5)
+        k = 0 if t % 10 == 0 else rng.randint(1, n + 1)
+        scale = rng.choice((1, 2, 3, 6))
+        rows = [[scale * rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        L = lattice_from_generators(n, rows)
+        kind = "zero" if not L.rank else "full" if L.rank == n else "deficient"
+        kinds[kind] += 1
+        assert exactla.saturate(L) == _saturate_reference(L), rows
+    assert min(kinds.values()) >= 25, kinds
+
+
+def test_hermite_basis_is_canonical_regression():
+    # Two generating sets of one lattice: reducing above the pivots from the
+    # bottom up gave ((1, 0, 3), ...) for the second.
+    a = lattice_from_generators(3, [(0, 1, 1), (1, 0, -1), (-1, 1, 0)])
+    b = lattice_from_generators(3, [(-1, 2, 1), (1, 0, -1), (-1, 1, 0)])
+    assert a.basis == b.basis == ((1, 0, 1), (0, 1, 1), (0, 0, 2))
+
+
+def _unimodular_mix(rng, rows):
+    """The rows after random swaps, sign changes and row additions."""
+    rows = [list(r) for r in rows]
+    for _ in range(rng.randint(1, 8)):
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        op = rng.randrange(3)
+        if op == 0:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == 1:
+            rows[i] = [-x for x in rows[i]]
+        elif i != j:
+            c = rng.choice((-2, -1, 1, 2))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+def test_hermite_basis_invariant_under_unimodular_row_operations():
+    rng = random.Random(1875)
+    for _ in range(300):
+        n, k = rng.randint(1, 5), rng.randint(1, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        H = exactla.hermite_row_basis(rows, n)
+        assert exactla.hermite_row_basis(_unimodular_mix(rng, rows), n) == H, rows
+        # Reduced form: positive pivots, entries above each in [0, pivot).
+        for r, row in enumerate(H):
+            c = next(j for j, x in enumerate(row) if x)
+            assert row[c] > 0
+            assert all(0 <= H[i][c] < row[c] for i in range(r))
+
+
 def test_lattice_rejects_dependent_basis():
-    with pytest.raises(Exception):
-        Lattice(2, ((1, 2), (2, 4)))
+    for basis in (
+        ((1, 2), (2, 4)),
+        ((1, 2, 0), (0, 1, 3), (0, 0, 0)),  # echelon-looking, with a zero row
+        ((0, 1, 1), (0, 2, 2)),  # equal leading columns
+    ):
+        with pytest.raises(DomainError):
+            Lattice(len(basis[0]), basis)
+    # Equal leading columns but independent: the rank decides.
+    assert Lattice(3, ((0, 1, 1), (0, 1, 2))).rank == 2
+
+
+def test_lattice_trusts_echelon_bases(monkeypatch):
+    ranks = []
+    rank = exactla.integer_rank
+    monkeypatch.setattr(exactla, "integer_rank", lambda A: ranks.append(A) or rank(A))
+    L = lattice_from_generators(3, [(2, 4, 6), (1, 1, 1), (0, 3, 9)])
+    assert exactla.saturate(L).rank == L.rank == 3
+    assert ranks == []
+    Lattice(2, ((0, 1), (1, 0)))
+    assert len(ranks) == 1
 
 
 def test_kernel_is_saturated_annihilator():

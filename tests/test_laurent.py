@@ -512,6 +512,43 @@ def test_line_support_reassembles_up_to_unit():
         assert uf.reassemble(3).unit_equal(p)
 
 
+def test_line_support_is_none_exactly_above_dimension_one():
+    rng = random.Random(2012)
+    seen = {True: 0, False: 0}
+    for t in range(400):
+        nv = rng.randint(1, 3)
+        if t % 2:
+            p = random_poly(rng, nv, max_terms=5).shift([rng.randint(-2, 2) for _ in range(nv)])
+        else:  # collinear support, with a random base point
+            h = [rng.randint(-2, 2) for _ in range(nv)]
+            base = [rng.randint(-3, 3) for _ in range(nv)]
+            p = laurent.poly_from_pairs(
+                nv,
+                [
+                    (tuple(b + j * x for b, x in zip(base, h)), rng.choice((-2, -1, 1, 3)))
+                    for j in rng.sample(range(-3, 4), rng.randint(1, 4))
+                ],
+            )
+            if p.is_zero():
+                continue
+        uf = laurent.line_support(p)
+        wide = laurent.newton_dim(p) > 1
+        assert (uf is None) == wide, p
+        seen[wide] += 1
+        if uf is not None:
+            assert uf.reassemble(nv).unit_equal(p), p
+    assert min(seen.values()) >= 50, seen
+
+
+def test_line_support_takes_no_newton_dim(monkeypatch):
+    calls = []
+    monkeypatch.setattr(laurent, "newton_dim", lambda p: calls.append(p))
+    x, y = V(2, 0), V(2, 1)
+    assert laurent.line_support(C(2, 1) + x + y) is None
+    assert laurent.line_support(x * x - C(2, 1)) is not None
+    assert calls == []
+
+
 # -- cyclotomic ---------------------------------------------------------------------
 
 
