@@ -347,6 +347,18 @@ def _is_echelon(basis) -> bool:
     return True
 
 
+def _is_unit_hermite(basis) -> bool:
+    """A Hermite basis with every pivot 1: echelon, each leading entry 1
+    and the only nonzero entry of its column."""
+    last = -1
+    for i, b in enumerate(basis):
+        lead = next((j for j, x in enumerate(b) if x), None)
+        if lead is None or lead <= last or b[lead] != 1 or any(r[lead] for r in basis[:i]):
+            return False
+        last = lead
+    return True
+
+
 def lattice_from_generators(ambient: int, rows) -> Lattice:
     """Lattice spanned by an arbitrary (possibly dependent) generating set."""
     return Lattice(ambient, tuple(hermite_row_basis(rows, ambient)))
@@ -358,8 +370,11 @@ def saturate(L: Lattice) -> Lattice:
 
     B = U^-1 D V^-1, so row i of U B is d_i times row i of V^-1, and the
     first rank(B) rows of the unimodular V^-1 are a basis of QL meet Z^n.
+    A Hermite basis with every pivot 1 (no rows among them) needs no Smith
+    form: unit vectors in its other columns extend it to a unimodular
+    matrix, so L is already saturated.
     """
-    if not L.basis:
+    if _is_unit_hermite(L.basis):
         return L
     B = IntMatrix.from_rows(L.basis)
     snf = smith_normal_form(B)

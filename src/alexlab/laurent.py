@@ -22,7 +22,9 @@ Z[zeta_m] of values at torsion characters) runs on dense coefficient
 lists, constant term first, with one product and one division by a monic
 divisor, so integers stay integers; Phi_d itself is a Moebius product of
 binomials 1 - t^k, one linear pass each.  Nothing here divides in a
-cyclotomic field.
+cyclotomic field.  The cyclotomic decomposition sieves its trial divisors
+on packed integers first (t -> 2^16 is a ring map Z[t] -> Z) and divides
+exactly only by the Phi_d that pass.
 """
 
 from __future__ import annotations
@@ -578,33 +580,35 @@ def euler_phi(d: int) -> int:
     return out
 
 
-def _small_phi(n: int) -> list[tuple[int, int]]:
-    """Every (d, phi(d)) with phi(d) <= n, d increasing: a depth-first
-    search over prime powers, since phi(prod p^k) = prod p^(k-1) (p - 1)
-    and only primes p <= n + 1 can divide such a d."""
+def _small_phi(limit):
+    """Every (d, phi(d), primes of d) with phi(d) <= n = limit(), depth
+    first over prime powers, since phi(prod p^k) = prod p^(k-1) (p - 1) and
+    only primes p <= n + 1 can divide such a d.  limit() is read again
+    after each yield, for a caller whose bound falls: every d below a node
+    has a multiple of its phi, so the node's whole subtree is cut."""
+    n = limit()
     sieve = bytearray([1]) * (n + 2)
     primes = []
     for p in range(2, n + 2):
         if sieve[p]:
             primes.append(p)
             sieve[p * p :: p] = bytes(len(range(p * p, n + 2, p)))
-    out = []
-
-    def extend(d, phi, start):
-        out.append((d, phi))
+    stack = [(1, 1, 0, ())]
+    while stack:
+        d, phi, start, ps = stack.pop()
+        if phi > n:
+            continue
+        yield d, phi, ps
+        n = min(n, limit())
         for i in range(start, len(primes)):
             p = primes[i]
             q, f = d * p, phi * (p - 1)
             if f > n:
                 break
+            qs = ps + (p,)
             while f <= n:
-                extend(q, f, i + 1)
+                stack.append((q, f, i + 1, qs))
                 q, f = q * p, f * p
-
-    if n >= 1:
-        extend(1, 1, 0)
-    out.sort()
-    return out
 
 
 def _mul(a, b) -> list:
@@ -693,11 +697,55 @@ class CyclotomicDecomposition:
         return out * self.remainder
 
 
+# Bits per coefficient slot of the packed value P(2^_PACK_BITS) that the
+# cyclotomic sieve tests.  Any width is sound; a wider one lets fewer
+# non-factors through to the exact division.
+_PACK_BITS = 16
+
+
+def _packed_phi(d: int, phi: int, primes) -> int:
+    """Phi_d(X) at X = 2^_PACK_BITS, for d with Euler phi(d) = phi and the
+    given distinct primes.
+
+    0 < Phi_d(X) <= (X + 1)^phi < 2^B, so it is computed mod 2^B, through
+    the ring map t -> X of Phi_d(t) * prod (1 - t^(d/e)) over mu(e) = -1 =
+    prod (1 - t^(d/e)) over mu(e) = +1 (e squarefree, e | d > 1).  Each
+    1 - X^k is odd, its inverse mod 2^B the sum of the X^(jk), built by
+    doubling: (1 + Y)(1 + Y^2)(1 + Y^4)...; a factor with X^k = 0 mod 2^B
+    is 1 and skipped."""
+    if d == 1:
+        return (1 << _PACK_BITS) - 1
+    B = _PACK_BITS * phi + (phi >> (_PACK_BITS - 1)) + 1
+    mask = (1 << B) - 1
+    divisors = [(1, 1)]  # (e, mu(e)) over the squarefree divisors of d
+    for p in primes:
+        divisors += [(e * p, -mu) for e, mu in divisors]
+    out = 1
+    for e, mu in divisors:
+        s = _PACK_BITS * (d // e)
+        if s >= B:
+            continue
+        if mu > 0:
+            out = (out - (out << s)) & mask
+        else:
+            while s < B:
+                out = (out + (out << s)) & mask
+                s *= 2
+    return out
+
+
 def cyclotomic_decompose(p: LaurentPoly) -> CyclotomicDecomposition:
     """Split a nonzero univariate polynomial into integer content, cyclotomic
     factors found by exhaustive trial division, and a cyclotomic-free
-    remainder.  Trial indices are exactly the d with phi(d) <= degree, in
-    increasing order."""
+    remainder.  Trial indices are exactly the d with phi(d) <= the degree
+    left, taken depth first (the factors are reported with d increasing).
+
+    The primitive part P is packed once as the integer P(X), X =
+    2^_PACK_BITS.  Since t -> X is a ring map Z[t] -> Z, Phi_d | P forces
+    Phi_d(X) | P(X), so a d with P(X) mod Phi_d(X) != 0 is rejected with
+    certainty; only the d that pass get their coefficients built and an
+    exact division, which confirms the factor and gives the quotient.
+    """
     if p.nvars != 1:
         raise DomainError("cyclotomic_decompose expects a univariate polynomial")
     if p.is_zero():
@@ -707,20 +755,21 @@ def cyclotomic_decompose(p: LaurentPoly) -> CyclotomicDecomposition:
     P = [0] * (terms[-1][0][0] + 1)
     for (k,), x in terms:
         P[k] = x // c
+    packed = 0
+    for x in reversed(P):
+        packed = (packed << _PACK_BITS) + x
     factors = []
-    for d, phi in _small_phi(len(P) - 1):
-        if len(P) == 1:
-            break
-        if phi >= len(P):
-            continue
+    for d, phi, primes in _small_phi(lambda: len(P) - 1):
+        phx = _packed_phi(d, phi, primes)
         mult = 0
-        q, r = _divmod(P, _cyclotomic_coeffs(d))
-        while not any(r):
-            P, mult = q, mult + 1
+        while packed % phx == 0:
             q, r = _divmod(P, _cyclotomic_coeffs(d))
+            if any(r):
+                break
+            P, packed, mult = q, packed // phx, mult + 1
         if mult:
             factors.append((d, mult))
-    return CyclotomicDecomposition(c, tuple(factors), _from_dense(P))
+    return CyclotomicDecomposition(c, tuple(sorted(factors)), _from_dense(P))
 
 
 # -- evaluation at torsion characters ----------------------------------------

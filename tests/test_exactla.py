@@ -190,6 +190,41 @@ def test_saturate_matches_double_kernel():
     assert min(kinds.values()) >= 25, kinds
 
 
+def test_saturate_skips_smith_form_exactly_for_unit_pivots(monkeypatch):
+    """Echelon bases with pivots 1 (saturated already) against bases with
+    one pivot 2 or 3, at rank 0, deficient rank and full rank: each matches
+    the double-kernel reference, and only the latter take a Smith form."""
+    snfs = []
+    snf = exactla.smith_normal_form
+    monkeypatch.setattr(exactla, "smith_normal_form", lambda A: snfs.append(A) or snf(A))
+    rng = random.Random(15)
+    seen = set()
+    for t in range(300):
+        n = rng.randint(1, 5)
+        k = 0 if t % 10 == 0 else rng.randint(1, n)
+        cols = sorted(rng.sample(range(n), k))
+        pivot = rng.choice((1, 1, 2, 3)) if k else 1
+        rows = []
+        for i, c in enumerate(cols):
+            row = [0] * c + [1] + [rng.randint(-3, 3) for _ in range(n - c - 1)]
+            row[c] = pivot if i == k - 1 else 1
+            rows.append(row)
+        L = lattice_from_generators(n, rows)
+        want = _saturate_reference(L)
+        del snfs[:]
+        assert exactla.saturate(L) == want, rows
+        assert bool(snfs) == (pivot != 1), rows
+        if pivot == 1:
+            assert want == L
+        seen.add(("zero" if not k else "full" if k == n else "deficient", pivot))
+    assert {(kind, p) for kind in ("full", "deficient") for p in (1, 2, 3)} <= seen
+    assert ("zero", 1) in seen
+    # An echelon basis with pivots 1 but not reduced above them is not a
+    # Hermite basis; it takes the Smith form and comes back canonical.
+    L = Lattice(2, ((1, 1), (0, 1)))
+    assert exactla.saturate(L) == _saturate_reference(L) == lattice_from_generators(2, L.basis)
+
+
 def test_hermite_basis_is_canonical_regression():
     # Two generating sets of one lattice: reducing above the pivots from the
     # bottom up gave ((1, 0, 3), ...) for the second.

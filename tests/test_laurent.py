@@ -653,8 +653,15 @@ def test_cyclotomic_decompose_against_sympy():
 
 def test_small_phi_lists_exactly_the_indices_with_phi_at_most_n():
     for n in (0, 1, 2, 3, 4, 11, 48, 120):
-        want = [(d, laurent.euler_phi(d)) for d in range(1, 2 * n * n + 3)]
-        assert laurent._small_phi(n) == [(d, f) for d, f in want if f <= n], n
+        want = [
+            (d, laurent.euler_phi(d), tuple(laurent._prime_factors(d)))
+            for d in range(1, 2 * n * n + 3)
+        ]
+        assert sorted(laurent._small_phi(lambda: n)) == [w for w in want if w[1] <= n], n
+        # a bound lowered after the first yield cuts every subtree above it
+        bounds = iter([n])
+        cut = sorted(laurent._small_phi(lambda: next(bounds, 11)))
+        assert cut == [w for w in want if w[1] <= min(n, 11)], n
 
 
 def test_euler_phi_keeps_no_cache():
@@ -704,6 +711,139 @@ def test_cyclotomic_layer_makes_no_exact_div(monkeypatch):
     dec = laurent.cyclotomic_decompose(delta)
     assert (dec.factors, dec.is_cyclotomic_product) == (((323, 1),), True)
     assert calls == []
+
+
+def _totients(n):
+    """phi(d) for d < n, by sieve."""
+    phi = list(range(n))
+    for p in range(2, n):
+        if phi[p] == p:
+            for m in range(p, n, p):
+                phi[m] -= phi[m] // p
+    return phi
+
+
+def _decompose_reference(p):
+    """The exhaustive decomposition: divide the primitive part by every
+    Phi_d with phi(d) <= its degree (such d are at most 2 deg^2), d
+    increasing, as often as it goes."""
+    terms = p.canonical().terms
+    c = exactla.content(x for _, x in terms)
+    P = [0] * (terms[-1][0][0] + 1)
+    for (k,), x in terms:
+        P[k] = x // c
+    phi = _totients(2 * len(P) ** 2 + 1)
+    factors = []
+    for d in range(1, len(phi)):
+        if phi[d] > len(P) - 1:
+            continue
+        mult = 0
+        q, r = laurent._divmod(P, laurent._cyclotomic_coeffs(d))
+        while not any(r):
+            P, mult = q, mult + 1
+            q, r = laurent._divmod(P, laurent._cyclotomic_coeffs(d))
+        if mult:
+            factors.append((d, mult))
+    return c, tuple(factors), laurent._from_dense(P)
+
+
+def _sieve_inputs():
+    """Seeded inputs for the sieve: signed contents, Phi_1 and Phi_2 up to
+    multiplicity 3, Phi_d up to d = 120, factors off the unit circle, the
+    constants and linear polynomials, and polynomials that vanish at the
+    packing point X, or whose value at X is divisible by Phi_d(X) while
+    Phi_d does not divide them (sieve survivors that exact division drops)."""
+    X = 1 << laurent._PACK_BITS
+    off_circle = [
+        T**2 - C(1, 3) * T + ONE,
+        C(1, 2) * T + C(1, 3),
+        T**3 - T - ONE,
+        C(1, 5) * T**2 + C(1, 1),
+        T - C(1, X),
+    ]
+    yield from (C(1, c) for c in (1, -1, 7, -12))
+    yield from (T + C(1, c) for c in (-1, 1, 2, -3, -X))
+    yield from (C(1, 3) * T - C(1, 3), C(1, -2) * T - C(1, 2), C(1, 5) * T + C(1, 7))
+    rng = random.Random(1519)
+    for _ in range(60):
+        p = C(1, rng.choice([1, -1, 2, -2, 6, -35]))
+        p = p * (T - ONE) ** rng.randint(0, 3) * (T + ONE) ** rng.randint(0, 3)
+        for _ in range(rng.randint(0, 2)):
+            d = rng.randint(3, 120)
+            if laurent.euler_phi(d) + p.total_degree_spread() <= 120:
+                p = p * laurent.cyclotomic_polynomial(d) ** rng.randint(1, 2)
+        if rng.random() < 0.4:
+            p = p * rng.choice(off_circle)
+        yield p
+    for d in (1, 2, 3, 5, 12, 30):
+        for _ in range(3):
+            q, r = random_poly(rng, 1, 3, 4), random_poly(rng, 1, 2, 3)
+            p = laurent.cyclotomic_polynomial(d) * q + (T - C(1, X)) * r
+            if not p.is_zero():
+                yield p
+
+
+def test_cyclotomic_sieve_matches_exhaustive_division():
+    for p in _sieve_inputs():
+        dec = laurent.cyclotomic_decompose(p)
+        assert (dec.content, dec.factors, dec.remainder) == _decompose_reference(p), p
+        assert dec.reassemble().unit_equal(p)
+
+
+def test_cyclotomic_sieve_drops_survivors_that_do_not_divide():
+    """t - X vanishes at X = 2^_PACK_BITS, so every Phi_d(X) divides its
+    packed value; the exact division must still reject Phi_1 and Phi_2."""
+    X = 1 << laurent._PACK_BITS
+    p = T - C(1, X)
+    dec = laurent.cyclotomic_decompose(p)
+    assert (dec.content, dec.factors, dec.remainder) == (1, (), p)
+    # Phi_3(X) divides p(X), Phi_3 does not divide p
+    p = laurent.cyclotomic_polynomial(3) * (T**2 + ONE) + (T - C(1, X)) * (T + ONE)
+    dec = laurent.cyclotomic_decompose(p)
+    assert dec.factors == _decompose_reference(p)[1] == ()
+
+
+def test_packed_phi_is_phi_at_the_packing_point():
+    X = 1 << laurent._PACK_BITS
+    for d, phi, primes in laurent._small_phi(lambda: 400):
+        value = 0
+        for c in reversed(laurent._cyclotomic_coeffs(d)):
+            value = value * X + c
+        assert laurent._packed_phi(d, phi, primes) == value, d
+
+
+def _torus_knot_delta(p, q):
+    from alexlab import alexinv, builders
+    from alexlab.fpgroup import fox_matrix
+
+    return alexinv.first_order(fox_matrix(builders.torus_knot(p, q)))[1]
+
+
+def test_cyclotomic_sieve_builds_only_the_factors_coefficients():
+    """Delta of T(17, 19) is Phi_323: of the 576 d with phi(d) <= 288 only
+    d = 323 passes the sieve, so only Phi_323's coefficients are built."""
+    delta = _torus_knot_delta(17, 19)
+    laurent._cyclotomic_coeffs.cache_clear()
+    dec = laurent.cyclotomic_decompose(delta)
+    assert dec.factors == ((323, 1),)
+    info = laurent._cyclotomic_coeffs.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    laurent._cyclotomic_coeffs(323)
+    assert laurent._cyclotomic_coeffs.cache_info().hits == info.hits + 1
+
+
+def test_cyclotomic_decompose_torus_knot_17_19_is_fast():
+    """Cold decomposition of Delta(T(17, 19)), degree 288, best of three
+    (against a shared machine's wandering speed)."""
+    delta = _torus_knot_delta(17, 19)
+    times = []
+    for _ in range(3):
+        laurent._cyclotomic_coeffs.cache_clear()
+        start = time.perf_counter()
+        dec = laurent.cyclotomic_decompose(delta)
+        times.append(time.perf_counter() - start)
+        assert dec.factors == ((323, 1),)
+    assert min(times) < 0.04, times
 
 
 # -- evaluation at characters ----------------------------------------------------------
