@@ -290,7 +290,11 @@ def _poly_size(e: LaurentPoly):
 
 def _frac_rank(m) -> int:
     """Rank over the fraction field of Z[H], by `exactla.bareiss` with
-    lowest-total-degree pivots."""
+    lowest-total-degree pivots.  A matrix with at most one row or at most
+    one column has rank 1 when some entry is nonzero and 0 otherwise, so
+    it is read off without the pivot scan, which would key every entry."""
+    if len(m) <= 1 or len(m[0]) <= 1:
+        return int(any(e.terms for row in m for e in row))
     return exactla.bareiss(m, _exact_div, _poly_size)[0]
 
 

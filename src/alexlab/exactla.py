@@ -1,8 +1,10 @@
 """Exact linear algebra: Smith normal form, kernels, Hermite form, lattice
 saturation, and `bareiss`, the one fraction-free elimination behind every
-rank and determinant in the package (integer rank and determinant here, the
-rank over Frac Z[H] and the rank at a torsion character, over Z[t], in
-`alexinv`).
+rank and determinant in the package that needs one (integer rank and
+determinant here, the rank over Frac Z[H] and the rank at a torsion
+character, over Z[t], in `alexinv`).  A rank over Frac Z[H] of a matrix
+with at most one row or column needs none: `alexinv._frac_rank` reads it
+off the nonzero entries.
 
 Apart from `bareiss`, which works in place over any exact domain, everything
 here works with plain Python integers (arbitrary precision) and immutable

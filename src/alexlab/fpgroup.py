@@ -7,6 +7,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import repeat
 
 from . import exactla
 from .errors import DomainError, LimitError, ParseError, limit_from_env
@@ -242,9 +243,14 @@ def fox_matrix(p: GroupPresentation) -> FoxMatrix:
     d(uv)/dx = du/dx + u dv/dx, dx/dx = 1, d(x^-1)/dx = -x^-1.
 
     A syllable x^e with prefix u contributes u(1 + x + ... + x^(e-1)) to
-    the x entry, and x^-e contributes -u x^-e (1 + x + ... + x^(e-1)); each
-    entry's terms gather in one dict, so the cost is linear in the letter
-    count, which is checked against `max_fox_letters` before any expansion.
+    the x entry, and x^-e contributes -u x^-e (1 + x + ... + x^(e-1)).  The
+    |e| exponent vectors b, b + x, .., b + (|e|-1)x of one syllable come by
+    ranges: one `zip` over a range per variable (a `repeat` where x has a
+    zero component, and empty vectors when b1 = 0), so no Python code runs
+    per letter to build them; a one-letter syllable's only vector is b
+    itself, which needs no ranges.  Each entry's terms gather in one dict, so
+    the cost is linear in the letter count, which is checked against
+    `max_fox_letters` before any expansion.
 
     The matrix is computed once per presentation object and kept on it (the
     `fox` slot); later calls on the same object check the letter budget
@@ -274,9 +280,17 @@ def fox_matrix(p: GroupPresentation) -> FoxMatrix:
             acc = row[gen]
             after = tuple(u + e * x for u, x in zip(prefix, img))
             base, sign = (prefix, 1) if e > 0 else (after, -1)
-            for i in range(abs(e)):
-                key = tuple(b + i * x for b, x in zip(base, img))
-                acc[key] = acc.get(key, 0) + sign
+            k = abs(e)
+            if k == 1:
+                keys = (base,)
+            elif n:
+                cols = [range(b, b + k * x, x) if x else repeat(b, k) for b, x in zip(base, img)]
+                keys = zip(*cols)
+            else:
+                keys = repeat((), k)
+            get = acc.get
+            for key in keys:
+                acc[key] = get(key, 0) + sign
             prefix = after
         rows.append(tuple(LaurentPoly._make(n, acc) for acc in row))
     object.__setattr__(p, "fox", FoxMatrix(tuple(rows), ab, warnings))

@@ -116,6 +116,8 @@ class LaurentPoly:
     def min_exponents(self) -> tuple[int, ...]:
         if self.is_zero():
             return (0,) * self.nvars
+        if self.nvars <= 1:  # the terms are sorted, so the first is least
+            return self.terms[0][0]
         return tuple(min(e[i] for e, _ in self.terms) for i in range(self.nvars))
 
     def total_degree_spread(self) -> int:
@@ -213,19 +215,28 @@ class LaurentPoly:
 
     def text(self) -> str:
         """Canonical text form.  Univariate polynomials print in descending
-        powers of `t`; multivariate ones ascending lex in t1..tn."""
+        powers of `t`, in one pass over the terms from the top; multivariate
+        ones ascending lex in t1..tn."""
         if self.is_zero():
             return "0"
         if self.nvars == 0:
             return str(self.terms[0][1])
         if self.nvars == 1:
-            names = ("t",)
-            ordered = sorted(self.terms, reverse=True)
-        else:
-            names = tuple("t%d" % (i + 1) for i in range(self.nvars))
-            ordered = list(self.terms)
+            out = []
+            for (k,), c in reversed(self.terms):
+                a = -c if c < 0 else c
+                if k == 0:
+                    body = "%d" % a
+                else:
+                    mono = "t" if k == 1 else "t^%d" % k
+                    body = mono if a == 1 else "%d*%s" % (a, mono)
+                out.append(("- " if c < 0 else "+ ") + body)
+            s = " ".join(out)
+            # The first term takes a bare sign: "-" or none.
+            return s[2:] if s[0] == "+" else "-" + s[2:]
+        names = tuple("t%d" % (i + 1) for i in range(self.nvars))
         out = []
-        for i, (e, c) in enumerate(ordered):
+        for i, (e, c) in enumerate(self.terms):
             body = self._term_str(e, c, names)
             if i == 0:
                 out.append("-" + body if c < 0 else body)
@@ -460,9 +471,10 @@ def _lift_last(h: dict, xi: int) -> dict:
 def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """gcd in the Laurent ring, canonically normalized.  gcd(p, 0) = p.
 
-    Returns p (canonical) when it divides q, and otherwise the certified
-    heuristic `_heu_gcd`, which raises LimitError when its evaluation
-    points pass their cap.  Each answer is exact."""
+    Returns p (canonical) when it divides q: at once when the canonical
+    operands are equal, else when `exact_div` shows it.  Otherwise returns
+    the certified heuristic `_heu_gcd`, which raises LimitError when its
+    evaluation points pass their cap.  Each answer is exact."""
     p._check_ambient(q)
     if p.is_zero():
         return q.canonical()
@@ -476,7 +488,7 @@ def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         )
     P = p.canonical()
     Q = q.canonical()
-    if exact_div(Q, P) is not None:
+    if P == Q or exact_div(Q, P) is not None:
         return P
     h = _heu_gcd(dict(P.terms), dict(Q.terms), p.nvars)
     return LaurentPoly._make(p.nvars, h).canonical()

@@ -277,6 +277,32 @@ def test_bareiss_minor_matches_laplace_on_random_matrices():
     assert full_rank >= 100
 
 
+def test_frac_rank_of_thin_matrices_matches_bareiss(monkeypatch):
+    # 0 x c, 1 x c and r x 1 matrices, about a third of their entries zero,
+    # some all zero: rank 1 iff some entry is nonzero, read off with no
+    # elimination.  Wider matrices still go through bareiss.
+    rng = random.Random(291)
+    bareiss, calls = exactla.bareiss, []
+    monkeypatch.setattr(exactla, "bareiss", lambda *a: calls.append(a) or bareiss(*a))
+    zeros = 0
+    for _ in range(300):
+        nvars = rng.randint(1, 3)
+        shape = rng.choice([(0, rng.randint(0, 4)), (1, rng.randint(0, 5)), (rng.randint(1, 5), 1)])
+        zero = LaurentPoly.zero(nvars)
+        m = [
+            [zero if rng.random() < 0.35 else _random_poly(rng, nvars) for _ in range(shape[1])]
+            for _ in range(shape[0])
+        ]
+        if rng.random() < 0.15:
+            m = [[zero for _ in row] for row in m]
+        want = bareiss([row[:] for row in m], alexinv._exact_div, alexinv._poly_size)[0]
+        zeros += want == 0
+        assert alexinv._frac_rank(m) == want, m
+    assert not calls and 30 <= zeros <= 270
+    m = [[_random_poly(rng, 2) for _ in range(2)] for _ in range(2)]
+    assert alexinv._frac_rank(m) == 2 and len(calls) == 1
+
+
 def test_bareiss_minor_matches_laplace_on_fox_submatrices():
     groups = [e.presentation for e in ALL]
     groups += [free_product(a.presentation, b.presentation) for a, b in SUM_PAIRS]

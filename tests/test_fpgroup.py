@@ -3,8 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from alexlab import fpgroup
 from alexlab.errors import LimitError, ParseError
 from alexlab.fpgroup import (
+    AbelianizationData,
     GroupPresentation,
     Word,
     abelianize,
@@ -216,6 +218,69 @@ def test_fox_matrix_matches_per_letter_reference(case):
     g, rels = case
     p = GroupPresentation(tuple("x%d" % i for i in range(g)), tuple(Word.from_pairs(r) for r in rels))
     assert fox_matrix(p).entries == _reference_fox_matrix(p)
+
+
+def _per_letter_fox(p, ab):
+    """Entries of `fox_matrix` by the loop it ran before syllables were
+    expanded by ranges: one exponent tuple built per letter."""
+    n = ab.b1
+    rows = []
+    for r in p.relators:
+        row = [{} for _ in p.generators]
+        prefix = (0,) * n
+        for gen, e in r.syllables:
+            img = ab.images[gen]
+            acc = row[gen]
+            after = tuple(u + e * x for u, x in zip(prefix, img))
+            base, sign = (prefix, 1) if e > 0 else (after, -1)
+            for i in range(abs(e)):
+                key = tuple(b + i * x for b, x in zip(base, img))
+                acc[key] = acc.get(key, 0) + sign
+            prefix = after
+        rows.append(tuple(LaurentPoly(n, tuple(sorted((e, c) for e, c in acc.items() if c))) for acc in row))
+    return tuple(rows)
+
+
+@st.composite
+def _long_syllable_cases(draw):
+    """A presentation with exponents in [-400, 400] on 1..3 generators, and
+    either None (use its own abelianization, with torsion images that vanish
+    where relators such as x^e kill a generator) or images drawn directly,
+    components in [-2, 2], b1 from 0 to 3."""
+    g = draw(st.integers(1, 3))
+    syllable = st.tuples(st.integers(0, g - 1), st.integers(-400, 400).filter(bool))
+    rels = draw(st.lists(st.lists(syllable, min_size=1, max_size=5), min_size=1, max_size=3))
+    p = GroupPresentation(tuple("x%d" % i for i in range(g)), tuple(Word.from_pairs(r) for r in rels))
+    if draw(st.booleans()):
+        return p, None
+    n = draw(st.integers(0, 3))
+    images = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=g, max_size=g))
+    return p, AbelianizationData(n, (), tuple(images))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_long_syllable_cases())
+def test_fox_matrix_by_ranges_matches_per_letter_loop(case):
+    # Long syllables against the per-letter loop: negative and zero image
+    # components, b1 = 0 and generators repeated within a relator.
+    p, ab = case
+    with pytest.MonkeyPatch.context() as mp:
+        if ab is not None:
+            mp.setattr(fpgroup, "abelianize", lambda _: ab)
+        F = fox_matrix(p)
+    assert F.entries == _per_letter_fox(p, F.abelianization)
+
+
+def test_fox_matrix_by_ranges_on_torsion_and_rank_zero():
+    cases = (
+        "gens a b\nrel a^300 b^-300\n",
+        "gens a b c\nrel c^7\nrel a^-250 c^40 b^3 a^250 c^-3 b^-3\n",  # c is torsion
+        "gens a b\nrel a b\nrel a^-400 b^-399 a^400 b^399\n",  # b = a^-1: a negative image
+        "gens x\nrel x^-400\n",  # b1 = 0
+    )
+    for text in cases:
+        p = parse_presentation(text)
+        assert fox_matrix(p).entries == _per_letter_fox(p, abelianize(p)), text
 
 
 def test_fox_letter_budget(monkeypatch):

@@ -77,6 +77,48 @@ def test_text_form():
     assert C(0, -7).text() == "-7"
 
 
+def _term_str_text(p):
+    """Univariate text by the path `text` took before its one-pass loop:
+    terms sorted in descending order, each rendered by `_term_str`."""
+    out = []
+    for i, (e, c) in enumerate(sorted(p.terms, reverse=True)):
+        body = p._term_str(e, c, ("t",))
+        if i == 0:
+            out.append("-" + body if c < 0 else body)
+        else:
+            out.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(-4, 12)),
+        st.integers(-30, 30).filter(bool) | st.sampled_from((1, -1)),
+        min_size=1,
+        max_size=10,
+    )
+)
+def test_univariate_text_matches_term_str_path(terms):
+    # Negative coefficients, constant terms, t^1, t^-k and |c| = 1 all
+    # appear among the drawn terms.
+    p = laurent.poly_from_pairs(1, terms.items())
+    assert p.text() == _term_str_text(p)
+
+
+def test_univariate_text_examples():
+    cases = {
+        "-1": -ONE,
+        "1": ONE,
+        "-t": -T,
+        "t - 1": T - ONE,
+        "-2*t^3 + t - 12": C(1, -2) * T**3 + T - C(1, 12),
+        "-t^2 + 3*t^-1 - t^-4": P(1, ((2,), -1), ((-1,), 3), ((-4,), -1)),
+    }
+    for want, p in cases.items():
+        assert p.text() == want == _term_str_text(p)
+
+
 # -- exact division ------------------------------------------------------------
 
 
@@ -154,6 +196,7 @@ def test_canonical_matches_reference_and_keeps_canonical_inputs(p):
     c = p.canonical()
     assert c == _reference_canonical(p)
     assert c.canonical() is c
+    assert p.min_exponents() == tuple(min(e[i] for e, _ in p.terms) for i in range(p.nvars))
 
 
 @settings(max_examples=400, deadline=None)
@@ -223,6 +266,26 @@ def test_gcd_examples():
     a = (x - one2) * (y - one2)
     b = (x - one2) * (y + one2)
     assert laurent.gcd(a, b) == (x - one2).canonical()
+
+
+def test_gcd_of_associates_needs_no_division(monkeypatch):
+    # gcd(p, u*p) for a unit u = +-monomial is p.canonical(), decided by
+    # comparing the canonical operands, before any exact division.
+    calls = []
+    div = laurent.exact_div
+    monkeypatch.setattr(laurent, "exact_div", lambda a, b: calls.append((a, b)) or div(a, b))
+    rng = random.Random(471)
+    for _ in range(100):
+        nvars = rng.randint(1, 3)
+        p = random_poly(rng, nvars, max_terms=6, max_exp=5)
+        u = LaurentPoly.monomial(nvars, [rng.randint(-4, 4) for _ in range(nvars)], rng.choice((1, -1)))
+        assert laurent.gcd(p, u * p) == p.canonical()
+        assert laurent.gcd(u * p, p) == p.canonical()
+    delta = laurent.poly_from_pairs(1, [((k,), 1) for k in range(300)])  # a^300 b^-300
+    assert laurent.gcd(delta, -delta.shift((-300,))) == delta
+    assert calls == []
+    assert laurent.gcd(T**2 - ONE, T**3 - ONE) == T - ONE
+    assert calls
 
 
 def test_gcd_zero_conventions():
