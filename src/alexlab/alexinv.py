@@ -157,7 +157,7 @@ def _reduce(F: FoxMatrix) -> FoxReduction:
     row-major order; then split the rest into blocks.  Without a unit entry
     the blocks index F.entries themselves, uncopied."""
     entries = F.entries
-    row_nz = [{j for j, e in enumerate(row) if e.terms} for row in entries]
+    row_nz = [{j for j, e in enumerate(row) if not e.is_zero()} for row in entries]
     units = {(i, j) for i, js in enumerate(row_nz) for j in js if entries[i][j].is_unit()}
     live_cols = set(range(F.cols))
     if units:
@@ -199,9 +199,8 @@ def _clear_unit(m, i, j, row_nz, col_nz, units):
     """Eliminate with the unit m[i][j] in place: m[r][c] -= m[r][j] u^-1 m[i][c]
     for the other nonzeros of its column and row, then retire row i and
     column j from the nonzero sets and the unit set."""
-    [(a, c0)] = m[i][j].terms
-    shift = tuple(-x for x in a)
-    prow = {c: m[i][c].shift(shift).scale(c0) for c in row_nz[i] if c != j}
+    inv = laurent._unit_inverse(m[i][j])
+    prow = {c: m[i][c] * inv for c in row_nz[i] if c != j}
     for r in col_nz[j]:
         if r == i:
             continue
@@ -209,7 +208,7 @@ def _clear_unit(m, i, j, row_nz, col_nz, units):
         for c, q in prow.items():
             e = m[r][c] - f * q
             m[r][c] = e
-            if e.terms:
+            if not e.is_zero():
                 row_nz[r].add(c)
                 col_nz[c].add(r)
             else:
@@ -251,9 +250,8 @@ def _minor_det(entries, rows, cols) -> LaurentPoly:
         for i, c in enumerate(cs):
             e = entries[r0][c]
             if not e.is_zero():
-                sub = det(rs[1:], cs[:i] + cs[i + 1 :])
-                term = e * sub
-                total = total + (term if sign > 0 else -term)
+                term = e * det(rs[1:], cs[:i] + cs[i + 1 :])
+                total = total + term if sign > 0 else total - term
             sign = -sign
         return total
 
@@ -285,7 +283,7 @@ def _exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
 
 
 def _poly_size(e: LaurentPoly):
-    return None if e.is_zero() else (e.total_degree_spread(), len(e.terms))
+    return None if e.is_zero() else (e.total_degree_spread(), e.term_count())
 
 
 def _frac_rank(m) -> int:
@@ -294,7 +292,7 @@ def _frac_rank(m) -> int:
     one column has rank 1 when some entry is nonzero and 0 otherwise, so
     it is read off without the pivot scan, which would key every entry."""
     if len(m) <= 1 or len(m[0]) <= 1:
-        return int(any(e.terms for row in m for e in row))
+        return int(any(not e.is_zero() for row in m for e in row))
     return exactla.bareiss(m, _exact_div, _poly_size)[0]
 
 
@@ -393,8 +391,9 @@ def thickness(F: FoxMatrix) -> int:
 # Largest character order for `cv_dim`.  Phi_m is one linear pass per
 # squarefree divisor (trefoil: 3 ms cold at m = 9240), but the rank at the
 # character multiplies minors of degree about k * phi(m) on a block of rank
-# k, which still takes seconds on a dense 4 x 4 block at m = 1260, so the
-# bound stays.
+# k: on a dense 4 x 4 block (the `cv_dense4_*` probes of tools/probes.py)
+# that takes 0.07 s at m = 600, 0.4 s at m = 1260 and 2.5 s at m = 2310,
+# growing about as m^3, so the bound stays.
 CV_MAX_ORDER = 5000
 
 

@@ -1,10 +1,10 @@
 """Exact linear algebra: Smith normal form, kernels, Hermite form, lattice
-saturation, and `bareiss`, the one fraction-free elimination behind every
-rank and determinant in the package that needs one (integer rank and
-determinant here, the rank over Frac Z[H] and the rank at a torsion
-character, over Z[t], in `alexinv`).  A rank over Frac Z[H] of a matrix
-with at most one row or column needs none: `alexinv._frac_rank` reads it
-off the nonzero entries.
+saturation, and `bareiss`, the one fraction-free elimination behind the
+integer determinant here and both polynomial ranks in `alexinv` (over
+Frac Z[H], and at a torsion character, over Z[t]).  A rank over Frac Z[H]
+of a matrix with at most one row or column needs none: `alexinv._frac_rank`
+reads it off the nonzero entries.  The integer rank streams rows into an
+echelon basis instead and stops at full column rank.
 
 Apart from `bareiss`, which works in place over any exact domain, everything
 here works with plain Python integers (arbitrary precision) and immutable
@@ -152,8 +152,27 @@ def determinant(A: IntMatrix) -> int:
 
 
 def integer_rank(A: IntMatrix) -> int:
-    """Rank of A over the rationals, by `bareiss`."""
-    return bareiss(A.row_list(), floordiv, _int_size)[0]
+    """Rank of A over the rationals.  The rows stream into a fraction-free
+    echelon basis: each is reduced by the basis rows at their pivot columns
+    (row * pivot - entry * basis row), then divided by its content and kept
+    when nonzero, its first nonzero column its pivot.  The pass stops once
+    the rank reaches the column count, so a tall matrix of full column rank
+    (the difference vectors of a large support) costs a few rows."""
+    basis = []
+    for i in range(A.rows):
+        row = A.row(i)
+        for pc, b in basis:
+            x = row[pc]
+            if x:
+                p = b[pc]
+                row = [p * y - x * z for y, z in zip(row, b)]
+        g = content(row)
+        if g:
+            row = [y // g for y in row] if g != 1 else row
+            basis.append((next(j for j, y in enumerate(row) if y), row))
+            if len(basis) == A.cols:
+                break
+    return len(basis)
 
 
 def _swap_rows(m, i, j):
@@ -436,7 +455,4 @@ def solve_integer(P: IntMatrix, Q: IntMatrix) -> IntMatrix | None:
 
 def content(values) -> int:
     """gcd of a collection of integers; 0 for an empty or all-zero collection."""
-    g = 0
-    for x in values:
-        g = gcd(g, x)
-    return g
+    return gcd(*values)

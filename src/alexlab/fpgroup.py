@@ -7,7 +7,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import repeat
 
 from . import exactla
 from .errors import DomainError, LimitError, ParseError, limit_from_env
@@ -244,12 +243,11 @@ def fox_matrix(p: GroupPresentation) -> FoxMatrix:
 
     A syllable x^e with prefix u contributes u(1 + x + ... + x^(e-1)) to
     the x entry, and x^-e contributes -u x^-e (1 + x + ... + x^(e-1)).  The
-    |e| exponent vectors b, b + x, .., b + (|e|-1)x of one syllable come by
-    ranges: one `zip` over a range per variable (a `repeat` where x has a
-    zero component, and empty vectors when b1 = 0), so no Python code runs
-    per letter to build them; a one-letter syllable's only vector is b
-    itself, which needs no ranges.  Each entry's terms gather in one dict, so
-    the cost is linear in the letter count, which is checked against
+    |e| exponent vectors b, b + x, .., b + (|e|-1)x of one syllable are one
+    run (b, x, |e|, sign), and each entry is built from its runs by
+    `LaurentPoly._from_runs`, where a run's keys are one range (the key map
+    is linear), so no Python code runs per letter to build them.  The cost
+    is linear in the letter count, which is checked against
     `max_fox_letters` before any expansion.
 
     The matrix is computed once per presentation object and kept on it (the
@@ -272,27 +270,17 @@ def fox_matrix(p: GroupPresentation) -> FoxMatrix:
     if n == 0:
         warnings = ("abelianization has rank 0; Fox entries are integers",)
     rows = []
+    zero = LaurentPoly.zero(n)
     for r in p.relators:
-        row = [{} for _ in range(g)]
+        runs = [[] for _ in range(g)]
         prefix = (0,) * n
         for gen, e in r.syllables:
             img = ab.images[gen]
-            acc = row[gen]
             after = tuple(u + e * x for u, x in zip(prefix, img))
             base, sign = (prefix, 1) if e > 0 else (after, -1)
-            k = abs(e)
-            if k == 1:
-                keys = (base,)
-            elif n:
-                cols = [range(b, b + k * x, x) if x else repeat(b, k) for b, x in zip(base, img)]
-                keys = zip(*cols)
-            else:
-                keys = repeat((), k)
-            get = acc.get
-            for key in keys:
-                acc[key] = get(key, 0) + sign
+            runs[gen].append((base, img, abs(e), sign))
             prefix = after
-        rows.append(tuple(LaurentPoly._make(n, acc) for acc in row))
+        rows.append(tuple(LaurentPoly._from_runs(n, rs) if rs else zero for rs in runs))
     object.__setattr__(p, "fox", FoxMatrix(tuple(rows), ab, warnings))
     return p.fox
 

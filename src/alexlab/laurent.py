@@ -7,15 +7,28 @@ distinguished associate (componentwise-minimal exponent 0 in every variable,
 positive coefficient on the lexicographically largest exponent) so that
 "equal up to a unit" becomes plain equality.
 
-Exact division packs each exponent vector into one int (a mixed radix
-per call, first variable most significant, so int order is lex order) and
-takes the leading remainder term from a heap of packed keys; only the
-quotient is unpacked.  The gcd is computed dependency-free, on one path: a
-heuristic gcd (evaluation at large integers, integer gcd, lifting by
-base-xi digits) certified by exact division, which tries larger evaluation
-points until a candidate passes and raises LimitError once they pass a
-cap.  The number of variables is capped (default 6, override with the
-ALEXLAB_MAX_VARS environment variable).
+Each polynomial stores its terms once, as (key, coefficient) pairs sorted by
+key, where the key of an exponent vector e is k(e) = sum e_i * 2^(32(n-1-i)),
+signed digits, first variable most significant.  The map is Z-linear, so a
+product's keys are sums of keys and a shift adds one key; and while every
+|e_i| < 2^31, k is injective and integer order on keys is lex order on
+exponent vectors.  A univariate key is the exponent itself (no bound), a
+constant's key is 0.  With two or more variables every polynomial carries a
+bound on its |e_i| that adds under products and shifts.  When that sum
+reaches 2^31, the operands' per-variable exponent ranges are added instead,
+and only a result exponent of magnitude 2^31 or more raises LimitError
+rather than wrapping.  Products,
+sums, `canonical`, exact division and the gcd work on keys alone; exponent
+tuples are decoded only at the edges (`terms`, text, documents, supports).
+
+Exact division takes the leading remainder term from a heap of keys, on
+both operands shifted to min exponent 0, where a digit is a mask and a
+shift.  The gcd is computed dependency-free, on one path: a heuristic gcd
+(evaluation at large integers, integer gcd, lifting by base-xi digits)
+certified by exact division, which tries larger evaluation points until a
+candidate passes and raises LimitError once they pass a cap.  The number of
+variables is capped (default 6, override with the ALEXLAB_MAX_VARS
+environment variable).
 
 Univariate cyclotomic work (Phi_d, cyclotomic decomposition, the rings
 Z[zeta_m] of values at torsion characters) runs on dense coefficient
@@ -32,47 +45,159 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
+from itertools import chain
 from math import gcd as igcd, isqrt
+from operator import add, sub
 
 from .errors import DomainError, LimitError, limit_from_env
 from . import exactla
 
 DEFAULT_MAX_VARS = 6
 
+# Exponent keys: one signed digit of _BITS bits per variable.  With two or
+# more variables every |exponent| stays below _HALF.
+_BITS = 32
+_MASK = (1 << _BITS) - 1
+_HALF = 1 << (_BITS - 1)
+
 
 def max_gcd_vars() -> int:
     return limit_from_env("ALEXLAB_MAX_VARS", DEFAULT_MAX_VARS)
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=None)
+def _layout(n: int) -> tuple[int, tuple[int, ...]]:
+    """(bias, shifts) of n-variable keys: the shift of each variable's
+    digit, first variable first, and the bias sum _HALF << shift, which
+    makes every digit of k + bias nonnegative, so that digit i of k is
+    ((k + bias) >> shift_i) & _MASK minus _HALF."""
+    shifts = tuple(range(_BITS * (n - 1), -1, -_BITS))
+    return sum(_HALF << s for s in shifts), shifts
+
+
+def _key(e) -> int:
+    k = 0
+    for x in e:
+        k = (k << _BITS) + x
+    return k
+
+
+def _check_bound(bound: int) -> int:
+    if bound >= _HALF:
+        raise LimitError(
+            "exponent of magnitude %d: with two or more variables exponents "
+            "must stay below 2^%d" % (bound, _BITS - 1)
+        )
+    return bound
+
+
+def _tuple_bound(nvars: int, vectors) -> int:
+    """max |e_i| over the given exponent vectors (0 below two variables),
+    checked against the key range."""
+    if nvars < 2:
+        return 0
+    return _check_bound(max(map(abs, chain.from_iterable(vectors)), default=0))
+
+
+def _ranges(items, n: int) -> tuple[list[int], list[int]]:
+    """Per-variable minimum and maximum exponent of nonzero `items`.  The
+    first variable's come from the first and last keys (a univariate key is
+    its exponent, whatever its size), the others by digit extraction."""
+    if n == 0:
+        return [], []
+    bias, (top, *rest) = _layout(n)
+    lo = [((items[0][0] + bias) >> top) - _HALF]
+    hi = [((items[-1][0] + bias) >> top) - _HALF]
+    ks = [k + bias for k, _ in items] if rest else ()
+    for s in rest:
+        ds = [(k >> s) & _MASK for k in ks]
+        lo.append(min(ds) - _HALF)
+        hi.append(max(ds) - _HALF)
+    return lo, hi
+
+
+def _span(p: "LaurentPoly") -> tuple[list[int], list[int]]:
+    """`_ranges` of a nonzero p, computed once and kept on it."""
+    s = p._span
+    if s is None:
+        s = p._span = _ranges(p._items, p.nvars)
+    return s
+
+
+def _span_bound(span, n: int) -> int:
+    """max |e_i| over a span (0 below two variables), checked."""
+    if n < 2:
+        return 0
+    lo, hi = span
+    return _check_bound(max(max(hi), -min(lo)))
+
+
 class LaurentPoly:
     """Integer Laurent polynomial in `nvars` variables.
 
     `terms` is a tuple of (exponent vector, coefficient) pairs, sorted
-    lexicographically by exponent vector, with no zero coefficients.
+    lexicographically by exponent vector, with no zero coefficients.  It is
+    a view decoded from the stored keys on first use and kept; `==`,
+    `hash` and arithmetic never decode.  Not a dataclass.  The terms never
+    change once set, by the constructor or by `_poly`; the decoded view
+    and the exponent ranges are caches filled on first use, and `canonical`
+    marks a polynomial that it finds already canonical (and tightens its
+    exponent bound).
     """
 
-    nvars: int
-    terms: tuple[tuple[tuple[int, ...], int], ...]
+    __slots__ = ("nvars", "_items", "_bound", "_canon", "_span", "_terms")
+
+    def __init__(self, nvars: int, terms=()):
+        terms = tuple(terms)
+        self.nvars = nvars
+        self._items = tuple(sorted((_key(e), c) for e, c in terms))
+        self._bound = _tuple_bound(nvars, (e for e, _ in terms))
+        self._canon = False
+        self._span = None
+        self._terms = None
 
     # -- construction -------------------------------------------------
 
     @staticmethod
     def _make(nvars: int, mapping) -> "LaurentPoly":
-        items = tuple(sorted((tuple(e), c) for e, c in mapping.items() if c))
-        return LaurentPoly(nvars, items)
+        return LaurentPoly(nvars, [(e, c) for e, c in mapping.items() if c])
+
+    @staticmethod
+    def _from_runs(nvars: int, runs) -> "LaurentPoly":
+        """Sum of sign * t^(start + j*step) over 0 <= j < count, for each
+        run (start, step, count, sign) of exponent vectors start and step:
+        the keys of one run are a range, since the key map is linear."""
+        acc: dict = {}
+        get = acc.get
+        ends = []  # every run's first and last exponent vectors
+        for start, step, count, sign in runs:
+            kb = _key(start)
+            ends.append(start)
+            if count == 1:
+                acc[kb] = get(kb, 0) + sign
+                continue
+            ks = _key(step)
+            if ks:
+                for k in range(kb, kb + count * ks, ks):
+                    acc[k] = get(k, 0) + sign
+            else:
+                acc[kb] = get(kb, 0) + sign * count
+            ends.append([b + (count - 1) * x for b, x in zip(start, step)])
+        bound = _tuple_bound(nvars, ends)
+        items = tuple(sorted([kc for kc in acc.items() if kc[1]]))
+        return _poly(nvars, items, bound)
 
     @classmethod
     def zero(cls, nvars: int) -> "LaurentPoly":
-        return cls(nvars, ())
+        return _poly(nvars, ())
 
     @classmethod
     def constant(cls, nvars: int, c: int) -> "LaurentPoly":
         c = int(c)
         if c == 0:
             return cls.zero(nvars)
-        return cls(nvars, (((0,) * nvars, c),))
+        return _poly(nvars, ((0, c),), 0, c > 0)
 
     @classmethod
     def one(cls, nvars: int) -> "LaurentPoly":
@@ -85,30 +210,63 @@ class LaurentPoly:
             raise DomainError("exponent vector length does not match nvars")
         if c == 0:
             return cls.zero(nvars)
-        return cls(nvars, ((exps, int(c)),))
+        return _poly(nvars, ((_key(exps), int(c)),), _tuple_bound(nvars, (exps,)))
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "LaurentPoly":
         return cls.monomial(nvars, tuple(1 if j == i else 0 for j in range(nvars)))
 
+    # -- the decoded view, equality ---------------------------------------
+
+    @property
+    def terms(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        t = self._terms
+        if t is None:
+            n = self.nvars
+            if n == 1:
+                t = tuple(((k,), c) for k, c in self._items)
+            else:
+                bias, shifts = _layout(n)
+                t = tuple(
+                    (tuple((((k + bias) >> s) & _MASK) - _HALF for s in shifts), c)
+                    for k, c in self._items
+                )
+            self._terms = t
+        return t
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not LaurentPoly:
+            return NotImplemented
+        return self.nvars == other.nvars and self._items == other._items
+
+    def __hash__(self) -> int:
+        return hash((self.nvars, self._items))
+
+    def __repr__(self) -> str:
+        return "LaurentPoly(nvars=%r, terms=%r)" % (self.nvars, self.terms)
+
     # -- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._items
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e, _ in self.terms)
+        return all(k == 0 for k, _ in self._items)
 
     def constant_value(self) -> int:
         if self.is_zero():
             return 0
         if not self.is_constant():
             raise DomainError("not a constant polynomial")
-        return self.terms[0][1]
+        return self._items[0][1]
 
     def is_unit(self) -> bool:
         """Units of Z[H]: plus or minus a single monomial."""
-        return len(self.terms) == 1 and abs(self.terms[0][1]) == 1
+        items = self._items
+        return len(items) == 1 and abs(items[0][1]) == 1
+
+    def term_count(self) -> int:
+        return len(self._items)
 
     def support(self) -> tuple[tuple[int, ...], ...]:
         return tuple(e for e, _ in self.terms)
@@ -116,15 +274,25 @@ class LaurentPoly:
     def min_exponents(self) -> tuple[int, ...]:
         if self.is_zero():
             return (0,) * self.nvars
-        if self.nvars <= 1:  # the terms are sorted, so the first is least
-            return self.terms[0][0]
-        return tuple(min(e[i] for e, _ in self.terms) for i in range(self.nvars))
+        return tuple(_span(self)[0])
 
     def total_degree_spread(self) -> int:
-        """max minus min of the total degree over the support (0 for 0)."""
-        if self.is_zero():
+        """max minus min of the total degree over the support (0 for 0).
+
+        The total degree of a key is its digit sum.  R = 2^32 is 1 mod
+        R - 1, so k + n*bound is that sum plus n*bound mod R - 1; when
+        2*n*bound < R - 1 the residue is the sum plus n*bound itself."""
+        items, n = self._items, self.nvars
+        if len(items) < 2 or n == 0:
             return 0
-        sums = [sum(e) for e, _ in self.terms]
+        if n == 1:
+            return items[-1][0] - items[0][0]
+        off = n * self._bound
+        if 2 * off < _MASK:
+            sums = [(k + off) % _MASK for k, _ in items]
+        else:
+            bias, shifts = _layout(n)
+            sums = [sum(((k + bias) >> s) & _MASK for s in shifts) for k, _ in items]
         return max(sums) - min(sums)
 
     # -- arithmetic ----------------------------------------------------
@@ -136,26 +304,56 @@ class LaurentPoly:
             )
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check_ambient(other)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, 0) + c
-        return self._make(self.nvars, acc)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, tuple((e, -c) for e, c in self.terms))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign * other, merged in one dict on keys."""
+        self._check_ambient(other)
+        if not other._items:
+            return self
+        if not self._items:
+            return other if sign > 0 else -other
+        acc = dict(self._items)
+        get = acc.get
+        for k, c in other._items:
+            acc[k] = get(k, 0) + sign * c
+        items = tuple(sorted([kc for kc in acc.items() if kc[1]]))
+        return _poly(self.nvars, items, max(self._bound, other._bound))
+
+    def __neg__(self) -> "LaurentPoly":
+        return _poly(self.nvars, tuple((k, -c) for k, c in self._items), self._bound, False, self._span)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        """Keys add, so a monomial factor shifts the other operand's keys in
+        order; otherwise the products gather in one dict on keys.  The
+        product of canonical operands is canonical (minimal exponents and
+        lex-max signs both multiply), and is marked so."""
         self._check_ambient(other)
-        acc: dict = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return self._make(self.nvars, acc)
+        a, b = self._items, other._items
+        if not a or not b:
+            return LaurentPoly.zero(self.nvars)
+        bound = self._bound + other._bound
+        if bound >= _HALF:
+            (la, ha), (lb, hb) = _span(self), _span(other)
+            bound = max(max(map(add, ha, hb)), -min(map(add, la, lb)))
+        _check_bound(bound)
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            ((k1, c1),) = a
+            items = tuple((k1 + k, c1 * c) for k, c in b)
+        else:
+            acc: dict = {}
+            get = acc.get
+            for k1, c1 in a:
+                for k2, c2 in b:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c1 * c2
+            items = tuple(sorted([kc for kc in acc.items() if kc[1]]))
+        return _poly(self.nvars, items, bound, self._canon and other._canon)
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -172,27 +370,47 @@ class LaurentPoly:
     def scale(self, c: int) -> "LaurentPoly":
         if c == 0:
             return LaurentPoly.zero(self.nvars)
-        return LaurentPoly(self.nvars, tuple((e, c * x) for e, x in self.terms))
+        items = tuple((k, c * x) for k, x in self._items)
+        return _poly(self.nvars, items, self._bound, self._canon and c > 0, self._span)
 
     def shift(self, by) -> "LaurentPoly":
         """Multiply by the monomial with exponent vector `by`."""
         by = tuple(by)
-        return LaurentPoly(
-            self.nvars,
-            tuple((tuple(a + b for a, b in zip(e, by)), c) for e, c in self.terms),
-        )
+        bound = self._bound
+        if self.nvars > 1 and self._items:
+            bound += max(map(abs, by))
+            if bound >= _HALF:
+                lo, hi = _span(self)
+                bound = max(max(map(add, hi, by)), -min(map(add, lo, by)))
+            _check_bound(bound)
+        kb = _key(by)
+        return _poly(self.nvars, tuple((k + kb, c) for k, c in self._items), bound)
 
     # -- normalization ---------------------------------------------------
 
     def canonical(self) -> "LaurentPoly":
         """The distinguished associate: min exponent 0 in each variable and a
         positive coefficient on the lex-largest exponent vector.  A canonical
-        polynomial is returned as it is."""
-        if self.is_zero():
+        polynomial is returned as it is, and marked, so asking again costs
+        O(1)."""
+        items = self._items
+        if self._canon or not items:
             return self
-        low = self.min_exponents()
-        p = self.shift(tuple(-m for m in low)) if any(low) else self
-        return p if p.terms[-1][1] > 0 else -p
+        n = self.nvars
+        lo, hi = _span(self)
+        spread = list(map(sub, hi, lo))
+        bound = _check_bound(max(spread)) if n > 1 else 0
+        low = _key(lo)
+        neg = items[-1][1] < 0
+        if neg:
+            items = tuple((k - low, -c) for k, c in items)
+        elif low:
+            items = tuple((k - low, c) for k, c in items)
+        else:
+            self._bound = bound
+            self._canon = True
+            return self
+        return _poly(n, items, bound, True, ([0] * n, spread))
 
     def unit_equal(self, other: "LaurentPoly") -> bool:
         return self.canonical() == other.canonical()
@@ -220,10 +438,10 @@ class LaurentPoly:
         if self.is_zero():
             return "0"
         if self.nvars == 0:
-            return str(self.terms[0][1])
+            return str(self._items[0][1])
         if self.nvars == 1:
             out = []
-            for (k,), c in reversed(self.terms):
+            for k, c in reversed(self._items):
                 a = -c if c < 0 else c
                 if k == 0:
                     body = "%d" % a
@@ -249,62 +467,87 @@ class LaurentPoly:
 
     def to_doc(self) -> dict:
         """Machine-readable form: terms ascending lex by exponent vector."""
-        return {
-            "nvars": self.nvars,
-            "terms": [{"e": list(e), "c": c} for e, c in self.terms],
-        }
+        terms = [{"e": list(e), "c": c} for e, c in self.terms]
+        return {"nvars": self.nvars, "terms": terms}
+
+
+_new = object.__new__
+
+
+def _poly(nvars: int, items, bound: int = 0, canon: bool = False, span=None) -> LaurentPoly:
+    """A LaurentPoly on sorted nonzero (key, coefficient) `items`, whose
+    |exponents| are at most `bound` (0 below two variables, where
+    exponents have no bound);
+    `canon` marks it canonical, and `span`, when given, is its `_ranges`."""
+    p = _new(LaurentPoly)
+    p.nvars = nvars
+    p._items = items
+    p._bound = bound
+    p._canon = canon
+    p._span = span
+    p._terms = None
+    return p
+
+
+def _unit_inverse(u: LaurentPoly) -> LaurentPoly:
+    """The inverse c * t^-a of a unit c * t^a (c = +-1): its key negated."""
+    ((k, c),) = u._items
+    return _poly(u.nvars, ((-k, c),), u._bound)
 
 
 # -- exact division ---------------------------------------------------------
 
 
-def _pack(terms, low, radices) -> list[tuple[int, int]]:
-    """(packed exponent, coefficient) pairs of `terms` shifted by -low:
-    mixed radix, first variable most significant, so that int order is lex
-    order while every digit stays below its radix."""
-    out = []
-    for e, c in terms:
-        k = 0
-        for x, m, r in zip(e, low, radices):
-            k = k * r + x - m
-        out.append((k, c))
-    return out
-
-
 def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
     """p / d when d divides p exactly in the Laurent ring, else None.
 
-    Both operands are shifted to min exponent 0, where the quotient q of an
-    exact division has 0 <= deg_i q <= deg_i p - deg_i d.  Exponent vectors
-    are packed into one int each (radix deg_i p + 1), so that adding the
-    exponents of a quotient term within those bounds and a term of d never
-    carries.  The remainder is a dict on packed keys, and a max-heap of its
-    keys gives each leading term (Johnson division; Monagan & Pearce,
+    Both operands are shifted to min exponent 0 (their keys less the key of
+    their minima), where the quotient q of an exact division has
+    0 <= deg_i q <= b_i = deg_i p - deg_i d.  There every digit of a key is
+    below 2^31 (LimitError for a dividend of degree 2^31 or more in some
+    variable, which has no canonical form either), so keys are plain
+    base-2^32 numbers.  The remainder is a dict on keys, and a max-heap of
+    its keys gives each leading term (Johnson division; Monagan & Pearce,
     "Polynomial division using dynamic arrays, heaps, and packed exponent
-    vectors", CASC 2007).  A term that cancels stays in the dict as 0 until
-    its key reaches the top, so no key is pushed twice: a deleted key that
-    came back would be.  Only the quotient is unpacked.
+    vectors", CASC 2007).
+
+    A quotient key x = k - k_lead(d) is accepted only when every digit x_i
+    is at most b_i, in one test: (x | (x + G)) & O == 0, with O the top bit
+    of every digit and G the digits 2^31 - 1 - b_i.  A digit x_i >= 2^31
+    shows in x & O, so when none does, adding G carries out of no digit,
+    and x_i + 2^31 - 1 - b_i reaches 2^31 exactly when x_i > b_i.  A
+    negative difference of exponents borrows, so its digit lands at 2^32
+    less at most deg_i d, at or above 2^31 (a negative x too, whose top
+    digit reads so, since the remainder's keys stay nonnegative).
+    Univariate keys have no digits: there the test is 0 <= x <= b_0.  A
+    term that cancels stays in the dict as 0 until its key reaches the
+    top, so no key is pushed twice: a deleted key that came back would be.
     """
     p._check_ambient(d)
     if d.is_zero():
         raise DomainError("division by zero polynomial")
     if p.is_zero():
         return p
-    pcols = tuple(zip(*(e for e, _ in p.terms)))
-    dcols = tuple(zip(*(e for e, _ in d.terms)))
-    sp = tuple(map(min, pcols))
-    sd = tuple(map(min, dcols))
-    degp = [max(col) - m for col, m in zip(pcols, sp)]
-    bounds = [dp - max(col) + m for dp, col, m in zip(degp, dcols, sd)]
+    n = p.nvars
+    lop, hip = _span(p)
+    lod, hid = _span(d)
+    qspan = list(map(sub, lop, lod)), list(map(sub, hip, hid))
+    bounds = list(map(sub, qspan[1], qspan[0]))
     if any(b < 0 for b in bounds):
         return None
-    radices = [dp + 1 for dp in degp]
-    P = dict(_pack(p.terms, sp, radices))
-    D = _pack(d.terms, sd, radices)
+    qbound = _span_bound(qspan, n)
+    if n == 1:
+        top, mask = bounds[0], None
+    else:
+        if n:
+            _check_bound(max(map(sub, hip, lop)))
+        mask = _layout(n)[0]
+        guard = _key([_HALF - 1 - b for b in bounds])
+    kp, kd = _key(lop), _key(lod)
+    P = {k - kp: c for k, c in p._items} if kp else dict(p._items)
+    D = [(k - kd, c) for k, c in d._items] if kd else list(d._items)
     dl_k, dl_c = D.pop()  # d's terms are sorted, so its leading term is last
-    low_first = list(zip(reversed(radices), reversed(bounds)))
-    heap = [-k for k in P]
-    heapify(heap)
+    heap = [-k for k in reversed(P)]  # ascending: already a heap
     push, get = heappush, P.get
     quo = []
     while heap:
@@ -314,19 +557,14 @@ def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
             continue  # the term cancelled after it was pushed
         if lc % dl_c:
             return None
-        # The digits of k - dl_k are the exponent differences unless some
-        # difference is negative; then the lowest such digit borrows and
-        # lands above its bound (a negative k - dl_k included), so one
-        # check catches both failures.
-        qk = rest = k - dl_k
-        digits = []
-        for r, b in low_first:
-            rest, x = divmod(rest, r)
-            if x > b:
+        qk = k - dl_k
+        if mask is None:
+            if not 0 <= qk <= top:
                 return None
-            digits.append(x)
+        elif (qk | (qk + guard)) & mask:
+            return None
         qc = lc // dl_c
-        quo.append((digits, qc))
+        quo.append((qk, qc))
         nq = -qc
         for dk, dc in D:
             key = qk + dk
@@ -336,16 +574,10 @@ def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
                 push(heap, -key)
             else:
                 P[key] = c + nq * dc
-    # quo runs from the lex-largest term down, its digits from the last
-    # variable up.
-    shift = [a - b for a, b in zip(sp, sd)]
-    return LaurentPoly(
-        p.nvars,
-        tuple(
-            (tuple(x + s for x, s in zip(reversed(digits), shift)), c)
-            for digits, c in reversed(quo)
-        ),
-    )
+    # quo runs from the lex-largest term down.
+    shift = kp - kd
+    items = tuple((k + shift, c) for k, c in reversed(quo))
+    return _poly(n, items, qbound, p._canon and d._canon, qspan)
 
 
 def divides(d: LaurentPoly, p: LaurentPoly) -> bool:
@@ -363,10 +595,17 @@ def multiply(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 # -- gcd -------------------------------------------------------------------
 
 
-def _heu_gcd(f: dict, g: dict, n: int) -> dict:
+def _from_key_dict(n: int, f: dict) -> LaurentPoly:
+    items = tuple(sorted(f.items()))
+    span = _ranges(items, n)
+    return _poly(n, items, _span_bound(span, n), False, span)
+
+
+def _heu_gcd(F: LaurentPoly, G: LaurentPoly) -> LaurentPoly:
     """Heuristic gcd (GCDHEU: Char, Geddes & Gonnet, J. Symbolic Comput. 7,
-    1989) of two nonzero polynomials given as {exponent n-tuple: int} with
-    nonnegative exponents.
+    1989) of two nonzero polynomials with nonnegative exponents below 2^32,
+    so that k & _MASK is a key's last exponent and k >> _BITS the key of
+    the others.
 
     Drops the last variable when neither operand has it.  Otherwise
     evaluates it at an integer xi, takes the gcd of the images (recursively,
@@ -388,39 +627,40 @@ def _heu_gcd(f: dict, g: dict, n: int) -> dict:
     than 8*b0 + 64 bits, b0 the bit length of its first xi.  The first six
     xi always stay below that cap.
     """
+    n = F.nvars
+    f, g = F._items, G._items
     if n == 0:
-        return {(): igcd(f[()], g[()])}
-    if not any(e[-1] for e in f) and not any(e[-1] for e in g):
-        f = {e[:-1]: c for e, c in f.items()}
-        h = _heu_gcd(f, {e[:-1]: c for e, c in g.items()}, n - 1)
-        return {e + (0,): c for e, c in h.items()}
-    cf = exactla.content(f.values())
-    cg = exactla.content(g.values())
+        return LaurentPoly.constant(0, igcd(f[0][1], g[0][1]))
+    if not any(k & _MASK for k, _ in f) and not any(k & _MASK for k, _ in g):
+        # The gcd's exponents are bounded by the operands'.
+        h = _heu_gcd(_drop_last(F), _drop_last(G))
+        return _poly(n, tuple((k << _BITS, c) for k, c in h._items), max(F._bound, G._bound))
+    fc, gc = [c for _, c in f], [c for _, c in g]
+    cf, cg = igcd(*fc), igcd(*gc)
     if cf != 1:
-        f = {e: c // cf for e, c in f.items()}
+        F = _poly(n, tuple((k, c // cf) for k, c in f), F._bound, False, F._span)
     if cg != 1:
-        g = {e: c // cg for e, c in g.items()}
-    F = LaurentPoly(n, tuple(sorted(f.items())))
-    G = LaurentPoly(n, tuple(sorted(g.items())))
+        G = _poly(n, tuple((k, c // cg) for k, c in g), G._bound, False, G._span)
     cont = igcd(cf, cg)
-    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
+    xi = 2 * min(max(map(abs, fc)) // cf, max(map(abs, gc)) // cg) + 2
     cap = 8 * xi.bit_length() + 64
     while xi.bit_length() <= cap:
         # xi may be a root of the operand with the larger norm.
-        ff = _eval_last(f, xi)
-        gg = _eval_last(g, xi)
+        ff = _eval_last(F._items, xi)
+        gg = _eval_last(G._items, xi)
         if ff and gg:
-            H = _lift_last(_heu_gcd(ff, gg, n - 1), xi)
+            h = _heu_gcd(_from_key_dict(n - 1, ff), _from_key_dict(n - 1, gg))
+            H = _lift_last(h._items, xi)
             hc = exactla.content(H.values())
-            C = LaurentPoly(n, tuple(sorted((e, c // hc) for e, c in H.items())))
+            C = _from_key_dict(n, {k: c // hc for k, c in H.items()})
             # With min exponents 0, division in the Laurent ring is division
             # in the polynomial ring, where the theorem holds.
             if (
-                not any(C.min_exponents())
+                not any(_span(C)[0])
                 and exact_div(F, C) is not None
                 and exact_div(G, C) is not None
             ):
-                return {e: cont * c for e, c in C.terms}
+                return C.scale(cont) if cont != 1 else C
         xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
     raise LimitError(
         "gcd: no evaluation point below 2^%d certified a candidate "
@@ -428,41 +668,48 @@ def _heu_gcd(f: dict, g: dict, n: int) -> dict:
     )
 
 
-def _eval_last(f: dict, xi: int) -> dict:
-    """f with its last variable set to xi, zero coefficients dropped.
+def _drop_last(F: LaurentPoly) -> LaurentPoly:
+    """F, whose last exponent is 0 everywhere, in the other variables."""
+    n = F.nvars - 1
+    return _poly(n, tuple((k >> _BITS, c) for k, c in F._items), F._bound if n > 1 else 0)
+
+
+def _eval_last(f, xi: int) -> dict:
+    """The (key, int) pairs `f` (keys as in `_heu_gcd`) with the last
+    variable set to xi: a {key: int} dict, zero coefficients dropped.
 
     Horner's rule on each slice of fixed other exponents, from its top
     degree down, so only one value of up to deg * log2(xi) bits is live at
     a time: memory stays linear in the size of the result."""
     slices: dict = {}
-    for e, c in f.items():
-        slices.setdefault(e[:-1], []).append((e[-1], c))
+    for k, c in f:
+        slices.setdefault(k >> _BITS, []).append((k & _MASK, c))
     out = {}
     for key, terms in slices.items():
         terms.sort(reverse=True)
         acc, d = 0, terms[0][0]
-        for k, c in terms:
-            acc = acc * xi ** (d - k) + c
-            d = k
+        for j, c in terms:
+            acc = acc * xi ** (d - j) + c
+            d = j
         if acc:
             out[key] = acc * xi**d
     return out
 
 
-def _lift_last(h: dict, xi: int) -> dict:
-    """Inverse of `_eval_last` for coefficients below xi/2: each integer
-    becomes its symmetric base-xi digits, the k-th digit the coefficient of
-    the new last variable to the power k."""
+def _lift_last(h, xi: int) -> dict:
+    """Inverse of `_eval_last` for coefficients below xi/2: each integer of
+    the (key, int) pairs `h` becomes its symmetric base-xi digits, the j-th
+    digit the coefficient of the new last variable to the power j."""
     half = xi // 2
     out = {}
-    for e, c in h.items():
-        k = 0
+    for k, c in h:
+        k <<= _BITS
         while c:
             d = c % xi
             if d > half:
                 d -= xi
             if d:
-                out[e + (k,)] = d
+                out[k] = d
             c = (c - d) // xi
             k += 1
     return out
@@ -474,24 +721,27 @@ def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     Returns p (canonical) when it divides q: at once when the canonical
     operands are equal, else when `exact_div` shows it.  Otherwise returns
     the certified heuristic `_heu_gcd`, which raises LimitError when its
-    evaluation points pass their cap.  Each answer is exact."""
+    evaluation points pass their cap, or at once for a univariate operand
+    of degree 2^31 or more.  Each answer is exact."""
     p._check_ambient(q)
     if p.is_zero():
         return q.canonical()
     if q.is_zero():
         return p.canonical()
+    n = p.nvars
     limit = max_gcd_vars()
-    if p.nvars > limit:
+    if n > limit:
         raise LimitError(
             "gcd supports at most %d variables (have %d); "
-            "set ALEXLAB_MAX_VARS to raise the limit" % (limit, p.nvars)
+            "set ALEXLAB_MAX_VARS to raise the limit" % (limit, n)
         )
     P = p.canonical()
     Q = q.canonical()
     if P == Q or exact_div(Q, P) is not None:
         return P
-    h = _heu_gcd(dict(P.terms), dict(Q.terms), p.nvars)
-    return LaurentPoly._make(p.nvars, h).canonical()
+    if n == 1 and max(P._items[-1][0], Q._items[-1][0]) >= _HALF:
+        raise LimitError("gcd: univariate degree 2^%d or more" % (_BITS - 1))
+    return _heu_gcd(P, Q).canonical()
 
 
 # -- Newton polytope -------------------------------------------------------
@@ -502,11 +752,11 @@ def newton_dim(p: LaurentPoly) -> int:
     if p.is_zero():
         raise DomainError("Newton polytope of the zero polynomial")
     pts = p.support()
-    base = pts[0]
-    diffs = [tuple(a - b for a, b in zip(s, base)) for s in pts[1:]]
-    if not diffs:
+    if len(pts) == 1:
         return 0
-    return exactla.integer_rank(exactla.IntMatrix.from_rows(diffs))
+    base = pts[0]
+    flat = tuple(a - b for s in pts[1:] for a, b in zip(s, base))
+    return exactla.integer_rank(exactla.IntMatrix(len(pts) - 1, p.nvars, flat))
 
 
 @dataclass(frozen=True)
@@ -650,7 +900,7 @@ def _divmod(a, b) -> tuple[list, list]:
 
 
 def _from_dense(a) -> LaurentPoly:
-    return LaurentPoly(1, tuple(((k,), c) for k, c in enumerate(a) if c))
+    return _poly(1, tuple((k, c) for k, c in enumerate(a) if c))
 
 
 @lru_cache(maxsize=None)
@@ -762,10 +1012,10 @@ def cyclotomic_decompose(p: LaurentPoly) -> CyclotomicDecomposition:
         raise DomainError("cyclotomic_decompose expects a univariate polynomial")
     if p.is_zero():
         raise DomainError("cyclotomic_decompose of the zero polynomial")
-    terms = p.canonical().terms
-    c = exactla.content(x for _, x in terms)
-    P = [0] * (terms[-1][0][0] + 1)
-    for (k,), x in terms:
+    items = p.canonical()._items
+    c = exactla.content(x for _, x in items)
+    P = [0] * (items[-1][0] + 1)
+    for k, x in items:
         P[k] = x // c
     packed = 0
     for x in reversed(P):

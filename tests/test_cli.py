@@ -308,9 +308,10 @@ def test_limit_exit_code(capsys, trefoil_file, monkeypatch):
 def test_gcd_cap_exit_code(capsys, trefoil_file, monkeypatch):
     # A gcd whose candidates never pass the division check stops at the cap
     # on its evaluation points: exit 2, not an internal error or a hang.
+    # Keys as in `laurent._heu_gcd`: the lift of the constant slice (key 0)
+    # has keys 1 and 0 for the new last variable to the powers 1 and 0.
     def non_divisor(h, xi):
-        zero = (0,) * len(next(iter(h)))
-        return {zero + (1,): 1, zero + (0,): 3 * xi + 1}
+        return {1: 1, 0: 3 * xi + 1}
 
     monkeypatch.setattr(laurent, "_lift_last", non_divisor)
     start = time.perf_counter()
@@ -318,6 +319,33 @@ def test_gcd_cap_exit_code(capsys, trefoil_file, monkeypatch):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith("limit exceeded: ")
+
+
+# b = a^100, c = b^100, .., f = e^100, so f maps to 10^10 times a's image.
+TOWER_FP = "gens a b c d e f\nrel b a^-100\nrel c b^-100\nrel d c^-100\nrel e d^-100\nrel f e^-100\n"
+
+
+def test_exponent_beyond_key_range_exit_code(capsys, tmp_path):
+    # With g commuting with f, b1 = 2 and the Fox entries have exponents
+    # near 10^10, past the 2^31 that two or more variables allow: exit 2
+    # at once, not a hang or a wrapped exponent.
+    fp = tmp_path / "tower7.fp"
+    fp.write_text(TOWER_FP.replace("gens a b c d e f", "gens a b c d e f g") + "rel g f g^-1 f^-1\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "delta", str(fp), "--k", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("limit exceeded: ")
+
+
+def test_univariate_exponents_have_no_key_bound(capsys, tmp_path):
+    # The same tower without g has b1 = 1: univariate keys are the
+    # exponents themselves, so 10^10 is fine.
+    fp = tmp_path / "tower6.fp"
+    fp.write_text(TOWER_FP)
+    code, out, err = run_cli(capsys, "delta", str(fp), "--k", "1", "--machine")
+    assert code == 0
+    assert json.loads(out)["result"] == {"delta": {"nvars": 1, "terms": [{"c": 1, "e": [0]}]}, "text": "1"}
 
 
 def test_letter_budget_exit_code(capsys, tmp_path):

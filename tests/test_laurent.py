@@ -426,8 +426,8 @@ def test_gcd_without_a_certified_candidate_raises_limit_error(monkeypatch):
 
     def non_divisor(h, xi):
         lifted.append(xi)
-        zero = (0,) * len(next(iter(h)))
-        return {zero + (1,): 1, zero + (0,): 3 * xi + 1}
+        # Keys: the constant slice (key 0) lifted to keys 1 and 0.
+        return {1: 1, 0: 3 * xi + 1}
 
     monkeypatch.setattr(laurent, "_lift_last", non_divisor)
     raised = 0
@@ -460,29 +460,42 @@ def _reference_eval_last(f, xi):
     return {e: c for e, c in out.items() if c}
 
 
+def _keyed(f):
+    """A {exponent tuple: int} dict (nonnegative exponents) as a {key: int}
+    dict, whose items are the pairs `_eval_last` takes."""
+    return {laurent._key(e): c for e, c in f.items()}
+
+
+def _decoded(h, nvars):
+    """A {key: int} dict of `nvars` nonnegative exponents as tuples."""
+    return {tuple((k >> (32 * (nvars - 1 - i))) & 0xFFFFFFFF for i in range(nvars)): c for k, c in h.items()}
+
+
 def test_eval_last_matches_power_list_reference():
     rng = random.Random(13)
     for _ in range(300):
         nvars = rng.randint(1, 3)
         f = dict(random_poly(rng, nvars, max_terms=8, max_exp=6, max_coeff=9).terms)
         xi = rng.choice((2, 3, 7, 1000, 10**6 + 3))
-        assert laurent._eval_last(f, xi) == _reference_eval_last(f, xi)
+        assert _decoded(laurent._eval_last(_keyed(f).items(), xi), nvars - 1) == _reference_eval_last(f, xi)
     # A slice that evaluates to zero is dropped: (t - 2) x at t = 2.
-    assert laurent._eval_last({(1, 1): 1, (1, 0): -2, (0, 0): 5}, 2) == {(0,): 5}
+    f = {(1, 1): 1, (1, 0): -2, (0, 0): 5}
+    assert _decoded(laurent._eval_last(_keyed(f).items(), 2), 1) == {(0,): 5}
 
 
 def test_eval_last_memory_is_linear_in_the_degree():
     # The power list xi^0 .. xi^4095 alone takes about 22 MB.
     f = dict(_thue_morse(12).terms)
+    keyed = _keyed(f).items()
     xi = 10**6 + 3
     tracemalloc.start()
     try:
-        out = laurent._eval_last(f, xi)
+        out = laurent._eval_last(keyed, xi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
-    assert out == _reference_eval_last(f, xi)
+    assert _decoded(out, 0) == _reference_eval_last(f, xi)
 
 
 def test_gcd_heuristic_certifies_its_candidates():
