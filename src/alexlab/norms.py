@@ -136,14 +136,40 @@ def in_convex_hull(point, points) -> bool:
     return _phase1_feasible(cols, point + (1,))
 
 
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _chain(pts) -> list[tuple]:
+    """One half of Andrew's monotone chain: pop while the turn is not
+    strictly to the left, so points on an edge are dropped."""
+    out = []
+    for p in pts:
+        while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
+            out.pop()
+        out.append(p)
+    return out
+
+
 def hull_vertices(points) -> list[tuple]:
-    """Vertex subset of a finite point set: p is a vertex iff it is not in
-    the hull of the others."""
+    """Vertex subset of a finite point set, sorted: p is a vertex iff it is
+    not in the hull of the others, so points on an edge are not vertices.
+
+    With at most two coordinates no LP is solved: the extreme points with
+    zero or one coordinate, Andrew's monotone chain with two (exact cross
+    products on ints and Fractions).  With more, one phase-1 LP per point
+    against the vertices found so far and the points not yet tested; a
+    point shown interior is dropped from the later LPs, which is sound
+    because the remaining points always include every vertex."""
     pts = sorted(set(tuple(x) for x in points))
+    if not pts or len(pts[0]) < 2:
+        return pts[:1] + pts[1:][-1:]
+    if len(pts[0]) == 2:
+        keep = set(_chain(pts)) | set(_chain(reversed(pts)))
+        return [p for p in pts if p in keep]
     out = []
     for i, p in enumerate(pts):
-        others = pts[:i] + pts[i + 1 :]
-        if not in_convex_hull(p, others):
+        if not in_convex_hull(p, out + pts[i + 1 :]):
             out.append(p)
     return out
 
@@ -152,7 +178,9 @@ def support_polytope(delta: LaurentPoly) -> NormBall:
     """Vertices of the difference hull of the support, exact rationals.
 
     conv(S - S) = conv S + conv(-S), whose vertices are differences of
-    vertices of conv S, so only the hull vertices of S are paired."""
+    vertices of conv S, so only the hull vertices of S are paired.  Both
+    hulls are taken by `hull_vertices`, so with at most two variables no
+    LP is solved."""
     if delta.is_zero():
         raise DomainError("support polytope of the zero polynomial")
     if delta.nvars > SUPPORT_POLYTOPE_MAX_RANK:

@@ -273,6 +273,45 @@ def test_hull_kernel_is_exact_on_huge_coordinates():
     assert not in_convex_hull((Fraction(1, big), 0), [(0, 0), (0, 1)])
 
 
+def test_hull_in_at_most_two_coordinates_solves_no_lp(monkeypatch):
+    """`hull_vertices` and `support_polytope` with 0-2 coordinates agree with
+    the Fraction-tableau reference without solving an LP; points on an edge,
+    collinear sets and duplicates are not vertices."""
+
+    def no_lp(cols, rhs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(norms, "_phase1_feasible", no_lp)
+    half = Fraction(1, 2)
+    disk = [(x, y) for x in range(-6, 7) for y in range(-6, 7) if x * x + y * y <= 36]
+    assert len(disk) == 113
+    grid = [(x, y) for x in range(3) for y in range(3)]
+    cases = [
+        [],
+        [()],
+        [(), ()],
+        [(3,)],
+        [(2,), (-1,), (2,), (0,), (5,)],
+        [(Fraction(1, 3),), (0,), (Fraction(-7, 2),)],
+        [(1, 1)],
+        [(1, 1), (1, 1)],
+        [(k, 2 * k - 1) for k in range(-3, 4)],
+        [(0, k) for k in range(4)] + [(0, 2)],
+        grid,
+        [(0, 0), (half, 0), (1, 0), (0, Fraction(3, 2)), (half, Fraction(3, 4))],
+        [(0, 0), (4, 0), (4, 0), (0, 4), (1, 1), (2, 2), (1, 3), (3, 1)],
+        disk,
+    ]
+    for pts in cases:
+        assert hull_vertices(pts) == _reference_hull_vertices(pts), pts
+    # the difference hull of the grid is the 5 x 5 grid: edges with 5 points
+    for supp in ([()], [(2,), (-1,), (0,), (5,)], grid, cases[-2]):
+        delta = P(len(supp[0]), *((e, 1) for e in set(supp)))
+        diffs = {tuple(a - b for a, b in zip(h, g)) for h in supp for g in supp}
+        ball = tuple(tuple(Fraction(x) for x in v) for v in _reference_hull_vertices(diffs))
+        assert support_polytope(delta).vertices == ball, supp
+
+
 def test_hull_of_fraction_points_is_the_scaled_integer_hull():
     rng = random.Random(7)
     for _ in range(40):

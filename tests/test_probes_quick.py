@@ -17,6 +17,7 @@ QUICK_ANSWERS = {
     "mul_bivar_200": "sha256:f2b481cfd0d89560",
     "cyclo_free_400": "sha256:fb4a25a5d9a7e542",
     "cv_dense4_m600": "sha256:4e07408562bedb8b",
+    "ball_disk_10": "sha256:d2ed664527535a06",
 }
 
 

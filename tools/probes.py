@@ -40,6 +40,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_CAP_S = 30.0
@@ -188,6 +189,19 @@ def _delta_render(e):
     return build
 
 
+def _ball_lattice(nvars, r):
+    """`support_polytope` of the sum of t^e over the lattice points e with
+    |e| <= r in nvars variables: 317 and 709 terms for the disks of radius
+    10 and 15, 123 for the sphere of radius 3."""
+
+    def build(ax):
+        exps = [e for e in product(range(-r, r + 1), repeat=nvars) if sum(x * x for x in e) <= r * r]
+        p = ax.laurent.poly_from_pairs(nvars, [(e, 1) for e in exps])
+        return lambda: [[str(x) for x in v] for v in ax.norms.support_polytope(p).vertices]
+
+    return build
+
+
 PROBES = {
     "cv_dense4_m600": _cv_dense4(600),
     "cv_dense4_m1260": _cv_dense4(1260),
@@ -202,8 +216,11 @@ PROBES = {
     "cyclo_free_400": _cyclo_free(400),
     "cyclo_free_800": _cyclo_free(800),
     "delta_render_300": _delta_render(300),
+    "ball_disk_10": _ball_lattice(2, 10),
+    "ball_disk_15": _ball_lattice(2, 15),
+    "ball_sphere_3": _ball_lattice(3, 3),
 }
-QUICK = ("delta_render_300", "mul_bivar_30", "mul_bivar_200", "cyclo_free_400", "cv_dense4_m600")
+QUICK = ("delta_render_300", "mul_bivar_30", "mul_bivar_200", "cyclo_free_400", "cv_dense4_m600", "ball_disk_10")
 
 
 # -- child ---------------------------------------------------------------------
