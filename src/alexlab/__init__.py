@@ -26,7 +26,6 @@ from .laurent import (
     evaluate_at_character,
     gcd,
     line_support,
-    multiply,
     newton_dim,
 )
 from .fpgroup import (
@@ -91,7 +90,6 @@ __all__ = [
     "evaluate_at_character",
     "gcd",
     "line_support",
-    "multiply",
     "newton_dim",
     "AbelianizationData",
     "FoxMatrix",

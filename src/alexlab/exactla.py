@@ -4,7 +4,9 @@ integer determinant here and both polynomial ranks in `alexinv` (over
 Frac Z[H], and at a torsion character, over Z[t]).  A rank over Frac Z[H]
 of a matrix with at most one row or column needs none: `alexinv._frac_rank`
 reads it off the nonzero entries.  The integer rank streams rows into an
-echelon basis instead and stops at full column rank.
+echelon basis instead and stops at full column rank.  The sum and the
+intersection of two lattices have no function here: `torusgeo.intersect`
+reads both off one Hermite form of a stacked basis.
 
 Apart from `bareiss`, which works in place over any exact domain, everything
 here works with plain Python integers (arbitrary precision) and immutable
@@ -63,11 +65,6 @@ class IntMatrix:
 
     def row_list(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [[self[i, j] for i in range(self.rows)] for j in range(self.cols)]
-        )
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -402,33 +399,6 @@ def saturate(L: Lattice) -> Lattice:
     UB = snf.U.mul(B)
     rows = [[x // d for x in UB.row(i)] for i, d in enumerate(snf.D.diagonal()) if d]
     return lattice_from_generators(L.ambient, rows)
-
-
-def lattice_sum(L1: Lattice, L2: Lattice) -> Lattice:
-    if L1.ambient != L2.ambient:
-        raise DomainError("ambient mismatch")
-    return lattice_from_generators(L1.ambient, list(L1.basis) + list(L2.basis))
-
-
-def lattice_intersection(L1: Lattice, L2: Lattice) -> Lattice:
-    """Intersection of two lattices via the kernel of the stacked basis."""
-    if L1.ambient != L2.ambient:
-        raise DomainError("ambient mismatch")
-    if not L1.basis or not L2.basis:
-        return Lattice(L1.ambient, ())
-    k1 = len(L1.basis)
-    stacked = IntMatrix.from_rows(list(L1.basis) + [tuple(-x for x in b) for b in L2.basis])
-    # Row vectors (a, b) with a*B1 = b*B2 form the kernel of stacked^T.
-    ker = kernel_basis(stacked.transpose())
-    gens = []
-    for w in ker:
-        a = w[:k1]
-        vec = [0] * L1.ambient
-        for coeff, brow in zip(a, L1.basis):
-            for j, x in enumerate(brow):
-                vec[j] += coeff * x
-        gens.append(tuple(vec))
-    return lattice_from_generators(L1.ambient, gens)
 
 
 def solve_integer(P: IntMatrix, Q: IntMatrix) -> IntMatrix | None:

@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import chain
-from math import gcd as igcd, isqrt
+from math import gcd as igcd, isqrt, prod
 from operator import add, sub
 
 from .errors import DomainError, LimitError, limit_from_env
@@ -136,32 +136,39 @@ def _span_bound(span, n: int) -> int:
 class LaurentPoly:
     """Integer Laurent polynomial in `nvars` variables.
 
-    `terms` is a tuple of (exponent vector, coefficient) pairs, sorted
-    lexicographically by exponent vector, with no zero coefficients.  It is
-    a view decoded from the stored keys on first use and kept; `==`,
-    `hash` and arithmetic never decode.  Not a dataclass.  The terms never
-    change once set, by the constructor or by `_poly`; the decoded view
-    and the exponent ranges are caches filled on first use, and `canonical`
-    marks a polynomial that it finds already canonical (and tightens its
-    exponent bound).
+    The constructor takes (exponent vector, coefficient) pairs in any
+    order: coefficients of a repeated vector are added up, zero sums are
+    dropped, and a vector whose length is not `nvars` raises DomainError.
+    `terms` gives them back as a tuple sorted lexicographically by exponent
+    vector, with no zero coefficients.  It is a view decoded from the
+    stored keys on first use and kept; `==`, `hash` and arithmetic never
+    decode.  Not a dataclass.  The terms never change once set, by the
+    constructor or by `_poly`; the decoded view and the exponent ranges are
+    caches filled on first use, and `canonical` marks a polynomial that it
+    finds already canonical (and tightens its exponent bound).
     """
 
     __slots__ = ("nvars", "_items", "_bound", "_canon", "_span", "_terms")
 
     def __init__(self, nvars: int, terms=()):
         terms = tuple(terms)
-        self.nvars = nvars
-        self._items = tuple(sorted((_key(e), c) for e, c in terms))
+        acc: dict = {}
+        get = acc.get
+        for e, c in terms:
+            if len(e) != nvars:
+                raise DomainError("exponent vector length does not match nvars")
+            k = _key(e)
+            acc[k] = get(k, 0) + c
+        # Over every given vector, dropped ones too: past the bound two
+        # vectors can share a key, and the merge above would be wrong.
         self._bound = _tuple_bound(nvars, (e for e, _ in terms))
+        self.nvars = nvars
+        self._items = tuple(sorted([kc for kc in acc.items() if kc[1]]))
         self._canon = False
         self._span = None
         self._terms = None
 
     # -- construction -------------------------------------------------
-
-    @staticmethod
-    def _make(nvars: int, mapping) -> "LaurentPoly":
-        return LaurentPoly(nvars, [(e, c) for e, c in mapping.items() if c])
 
     @staticmethod
     def _from_runs(nvars: int, runs) -> "LaurentPoly":
@@ -412,9 +419,6 @@ class LaurentPoly:
             return self
         return _poly(n, items, bound, True, ([0] * n, spread))
 
-    def unit_equal(self, other: "LaurentPoly") -> bool:
-        return self.canonical() == other.canonical()
-
     # -- text form --------------------------------------------------------
 
     def _term_str(self, e, c, names) -> str:
@@ -584,12 +588,6 @@ def divides(d: LaurentPoly, p: LaurentPoly) -> bool:
     if d.is_zero():
         return p.is_zero()
     return exact_div(p, d) is not None
-
-
-def multiply(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """Exact ring product.  The product of canonical inputs is canonical
-    (minimal exponents and lex-max signs both multiply)."""
-    return p * q
 
 
 # -- gcd -------------------------------------------------------------------
@@ -767,15 +765,6 @@ class UnivariateForm:
     direction: tuple[int, ...]
     poly: LaurentPoly  # univariate, in t
 
-    def reassemble(self, nvars: int) -> LaurentPoly:
-        out = LaurentPoly.zero(nvars)
-        for e, c in self.poly.terms:
-            k = e[0]
-            out = out + LaurentPoly.monomial(
-                nvars, tuple(k * h for h in self.direction), c
-            )
-        return out
-
 
 def line_support(p: LaurentPoly) -> UnivariateForm | None:
     """When the support is a point or a segment, the primitive direction h
@@ -812,10 +801,7 @@ def line_support(p: LaurentPoly) -> UnivariateForm | None:
             return None
         ks.append(k)
     kmin = min(ks)
-    acc = {}
-    for (e, c), k in zip(p.terms, ks):
-        acc[(k - kmin,)] = c
-    return UnivariateForm(h, LaurentPoly._make(1, acc))
+    return UnivariateForm(h, LaurentPoly(1, [((k - kmin,), c) for (_, c), k in zip(p.terms, ks)]))
 
 
 # -- cyclotomic machinery ----------------------------------------------------
@@ -903,6 +889,15 @@ def _from_dense(a) -> LaurentPoly:
     return _poly(1, tuple((k, c) for k, c in enumerate(a) if c))
 
 
+def _moebius_divisors(primes) -> list[tuple[int, int]]:
+    """(e, mu(e)) over the squarefree divisors e of a number with the given
+    distinct primes: 1 first, their product last."""
+    divisors = [(1, 1)]
+    for p in primes:
+        divisors += [(e * p, -mu) for e, mu in divisors]
+    return divisors
+
+
 @lru_cache(maxsize=None)
 def _cyclotomic_coeffs(d: int) -> tuple[int, ...]:
     """Coefficients of Phi_d, constant term first.  Phi_d(t) = Phi_r(t^(d/r))
@@ -912,11 +907,8 @@ def _cyclotomic_coeffs(d: int) -> tuple[int, ...]:
     primes = _prime_factors(d)
     if not primes:
         return (-1, 1)
-    divisors = [(1, 1)]  # (e, mu(e)) over the squarefree divisors of d
-    phi = 1
-    for p in primes:
-        divisors += [(e * p, -mu) for e, mu in divisors]
-        phi *= p - 1
+    divisors = _moebius_divisors(primes)
+    phi = prod(p - 1 for p in primes)
     r = divisors[-1][0]
     c = [1] + [0] * phi
     for e, mu in divisors:
@@ -952,12 +944,6 @@ class CyclotomicDecomposition:
     def is_cyclotomic_product(self) -> bool:
         return self.remainder == LaurentPoly.one(1)
 
-    def reassemble(self) -> LaurentPoly:
-        out = LaurentPoly.constant(1, self.content)
-        for d, m in self.factors:
-            out = out * cyclotomic_polynomial(d) ** m
-        return out * self.remainder
-
 
 # Bits per coefficient slot of the packed value P(2^_PACK_BITS) that the
 # cyclotomic sieve tests.  Any width is sound; a wider one lets fewer
@@ -979,11 +965,8 @@ def _packed_phi(d: int, phi: int, primes) -> int:
         return (1 << _PACK_BITS) - 1
     B = _PACK_BITS * phi + (phi >> (_PACK_BITS - 1)) + 1
     mask = (1 << B) - 1
-    divisors = [(1, 1)]  # (e, mu(e)) over the squarefree divisors of d
-    for p in primes:
-        divisors += [(e * p, -mu) for e, mu in divisors]
     out = 1
-    for e, mu in divisors:
+    for e, mu in _moebius_divisors(primes):
         s = _PACK_BITS * (d // e)
         if s >= B:
             continue
@@ -1134,16 +1117,7 @@ def apply_exponent_map(p: LaurentPoly, rows, target_nvars: int) -> LaurentPoly:
     rows = [tuple(r) for r in rows]
     if len(rows) != target_nvars or any(len(r) != p.nvars for r in rows):
         raise DomainError("exponent map shape mismatch")
-    acc: dict = {}
-    for e, c in p.terms:
-        ne = tuple(sum(m * x for m, x in zip(row, e)) for row in rows)
-        acc[ne] = acc.get(ne, 0) + c
-    return LaurentPoly._make(target_nvars, acc)
-
-
-def poly_from_pairs(nvars: int, pairs) -> LaurentPoly:
-    acc: dict = {}
-    for e, c in pairs:
-        e = tuple(e)
-        acc[e] = acc.get(e, 0) + c
-    return LaurentPoly._make(nvars, acc)
+    return LaurentPoly(
+        target_nvars,
+        [(tuple(sum(m * x for m, x in zip(row, e)) for row in rows), c) for e, c in p.terms],
+    )

@@ -3,7 +3,8 @@
 A subtorus is encoded by its saturated lattice of exponent equations:
 T = {z : z^u = 1 for all u in the lattice}, translated by a torsion point
 exp(2*pi*i*q) with q rational.  Products and intersections of subtori then
-reduce to lattice intersections and sums.
+reduce to the intersection and the sum of two equation lattices, both read
+off one Hermite form (Zassenhaus's sum-intersection trick).
 """
 
 from __future__ import annotations
@@ -68,14 +69,20 @@ def intersect(T1: TranslatedTorus, T2: TranslatedTorus) -> IntersectionReport:
     The cosets meet iff rho1/rho2 lies in the product torus T1*T2, whose
     equation lattice is the (saturated) intersection of the two equation
     lattices; the dimension of a nonempty intersection is
-    ambient - rank(L1 + L2)."""
-    if T1.ambient != T2.ambient:
+    ambient - rank(L1 + L2).  Both lattices come from one Hermite form of
+    the rows (b, b) for b in the basis of L1 and (b, 0) for b in that of
+    L2, which span {(u1 + u2, u1) : u1 in L1, u2 in L2}.  Its rows with
+    pivots in the first n columns project onto a basis of L1 + L2; the
+    others, zero there, span the vectors (0, u1) with u1 = -u2, and their
+    last n entries are a basis of L1 meet L2."""
+    n = T1.ambient
+    if n != T2.ambient:
         raise DomainError("ambient mismatch")
+    B1, B2 = T1.equations.basis, T2.equations.basis
+    zero = (0,) * n
+    H = exactla.hermite_row_basis([(*b, *b) for b in B1] + [(*b, *zero) for b in B2], 2 * n)
+    inter = [h[n:] for h in H if not any(h[:n])]
     diff = tuple(a - b for a, b in zip(T1.translate, T2.translate))
-    inter = exactla.lattice_intersection(T1.equations, T2.equations)
-    meets = _pairing_integral(inter.basis, diff)
-    parallel = T1.equations.basis == T2.equations.basis
-    dim = None
-    if meets:
-        dim = T1.ambient - exactla.lattice_sum(T1.equations, T2.equations).rank
-    return IntersectionReport(meets, dim, parallel)
+    meets = _pairing_integral(inter, diff)
+    dim = n - (len(H) - len(inter)) if meets else None
+    return IntersectionReport(meets, dim, B1 == B2)

@@ -160,7 +160,7 @@ def test_criterion_10_norms():
                 scaled = CohomologyClass.of([k] * delta.nvars)
                 assert norms.alexander_norm(delta, scaled) == abs(k) * nb
 
-    hexagon = laurent.poly_from_pairs(2, [((0, 0), 1), ((1, 0), 1), ((0, 1), 1)])
+    hexagon = LaurentPoly(2, [((0, 0), 1), ((1, 0), 1), ((0, 1), 1)])
     rep = mcmullen_check(hexagon, [FiberedDatum(CohomologyClass.of([1, 0]), 1, True)])
     assert rep.entries[0].status == "PASS"
     rep = mcmullen_check(hexagon, [FiberedDatum(CohomologyClass.of([1, 0]), 0, False)])

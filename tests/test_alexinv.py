@@ -577,7 +577,7 @@ def _wirtinger_torus_2(n: int) -> GroupPresentation:
 def test_wirtinger_torus_knot_2_21():
     # 21 x 21; the whole-matrix minors gcd did not finish in 120 s.
     F = fox_matrix(_wirtinger_torus_2(21))
-    expected = LaurentPoly._make(1, {(i,): (-1) ** i for i in range(21)})
+    expected = LaurentPoly(1, [((i,), (-1) ** i) for i in range(21)])
     assert first_order(F) == (1, expected)
     assert order_k(F, 2) == ONE
 

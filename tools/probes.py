@@ -105,7 +105,7 @@ def _bivariate(ax, rng, n):
     terms = {}
     while len(terms) < n:
         terms[(rng.randint(0, 60), rng.randint(0, 60))] = rng.choice([c for c in range(-9, 10) if c])
-    return ax.laurent.poly_from_pairs(2, terms.items())
+    return ax.LaurentPoly(2, terms.items())
 
 
 # -- probes -------------------------------------------------------------------
@@ -161,7 +161,7 @@ def _cyclo_free(n):
     """t^n + 3t + 1, which has no cyclotomic factor."""
 
     def build(ax):
-        p = ax.laurent.poly_from_pairs(1, [((n,), 1), ((1,), 3), ((0,), 1)])
+        p = ax.LaurentPoly(1, [((n,), 1), ((1,), 3), ((0,), 1)])
 
         def body():
             d = ax.laurent.cyclotomic_decompose(p)
@@ -196,7 +196,7 @@ def _ball_lattice(nvars, r):
 
     def build(ax):
         exps = [e for e in product(range(-r, r + 1), repeat=nvars) if sum(x * x for x in e) <= r * r]
-        p = ax.laurent.poly_from_pairs(nvars, [(e, 1) for e in exps])
+        p = ax.LaurentPoly(nvars, [(e, 1) for e in exps])
         return lambda: [[str(x) for x in v] for v in ax.norms.support_polytope(p).vertices]
 
     return build
