@@ -31,7 +31,7 @@ def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, a NUL in the path
         raise ParseError("cannot read %s: %s" % (path, getattr(exc, "strerror", None) or exc))
 
 
@@ -410,87 +410,155 @@ def _wire_build(sub, name):
     )
 
 
-# The top-level commands in help order: each entry adds its command to the
-# sub-command action `sub` (looking its `_cmd_*` function up at that time).
+# The top-level commands in help order.  A single-level command is plain
+# data, (help, positionals, options) in `_leaf`'s terms, run by the function
+# `_cmd_<name>` (looked up at each call); `tori` and `build` nest further,
+# so each is a function that adds itself to the sub-command action `sub`.
 _COMMANDS = {
-    "abelianize": lambda sub, name: _leaf(
-        sub, name, _cmd_abelianize, "file", help="b1, torsion, generator images",
+    "abelianize": ("b1, torsion, generator images", ("file",), {}),
+    "delta": ("k-th order polynomial of the Fox matrix", ("file",), dict(k=_REQUIRED_INT)),
+    "thickness": ("Newton dimension of the first order", ("file",), {}),
+    "norm": (
+        "Alexander norm of a cohomology class", ("file",),
+        dict(phi=dict(required=True, help="comma-separated integers")),
     ),
-    "delta": lambda sub, name: _leaf(
-        sub, name, _cmd_delta, "file",
-        help="k-th order polynomial of the Fox matrix", k=_REQUIRED_INT,
-    ),
-    "thickness": lambda sub, name: _leaf(
-        sub, name, _cmd_thickness, "file", help="Newton dimension of the first order",
-    ),
-    "norm": lambda sub, name: _leaf(
-        sub, name, _cmd_norm, "file", help="Alexander norm of a cohomology class",
-        phi=dict(required=True, help="comma-separated integers"),
-    ),
-    "ball": lambda sub, name: _leaf(
-        sub, name, _cmd_ball, "file", help="support polytope of the first order",
-    ),
-    "cv": lambda sub, name: _leaf(
-        sub, name, _cmd_cv, "file", help="twisted homology dimension at a character",
-        rho=dict(
-            required=True,
-            help="comma-separated rationals; write a leading minus as --rho=-1/6 (or 5/6)",
+    "ball": ("support polytope of the first order", ("file",), {}),
+    "cv": (
+        "twisted homology dimension at a character", ("file",),
+        dict(
+            rho=dict(
+                required=True,
+                help="comma-separated rationals; write a leading minus as --rho=-1/6 (or 5/6)",
+            ),
+            k=dict(type=int, default=None, help="report V_k up to this k"),
         ),
-        k=dict(type=int, default=None, help="report V_k up to this k"),
     ),
-    "test": lambda sub, name: _leaf(
-        sub, name, _cmd_test, ("which", dict(choices=("kahler", "qp"))), "file",
-        help="Kahler / quasi-projective necessary conditions", kmax=_KMAX,
+    "test": (
+        "Kahler / quasi-projective necessary conditions",
+        (("which", dict(choices=("kahler", "qp"))), "file"), dict(kmax=_KMAX),
     ),
-    "sum": lambda sub, name: _leaf(
-        sub, name, _cmd_sum, ("files", dict(nargs="+")),
-        help="free product analysis of several groups", kmax=_KMAX,
+    "sum": (
+        "free product analysis of several groups", (("files", dict(nargs="+")),),
+        dict(kmax=_KMAX),
     ),
     "tori": _wire_tori,
     "build": _wire_build,
-    "mcmullen": lambda sub, name: _leaf(
-        sub, name, _cmd_mcmullen, "file",
-        help="compare against supplied Thurston data", data=dict(required=True),
+    "mcmullen": (
+        "compare against supplied Thurston data", ("file",), dict(data=dict(required=True)),
     ),
 }
 
 
 def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser for `argv`: the top level and only the command that
-    argv[0] names.  Any other argv (no arguments, -h, an unknown command)
-    gets every command, since the top-level help and its "invalid choice"
-    message list them all; a leaf's own help and errors do not depend on
-    its siblings."""
+    """The argparse parser for `argv`: the top level and only the command
+    that argv[0] names.  Any other argv (no arguments, -h, an unknown
+    command) gets every command, since the top-level help and its "invalid
+    choice" message list them all; a leaf's own help and errors do not
+    depend on its siblings.  `run` builds it only for an argv that
+    `_read_plain` declines."""
     ap = _Parser(prog="alexlab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     for name in names:
-        _COMMANDS[name](sub, name)
+        entry = _COMMANDS[name]
+        if callable(entry):
+            entry(sub, name)
+        else:
+            text, positionals, options = entry
+            _leaf(sub, name, globals()["_cmd_" + name], *positionals, help=text, **options)
     return ap
 
 
-def run(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser(argv)
+def _value(kw: dict, text: str):
+    """`text` as argparse stores it for an argument with add_argument kwargs
+    `kw`; ValueError where argparse would refuse it (a failed `type`, a bad
+    choice) or would take more than this one value (`nargs`)."""
+    if "nargs" in kw:
+        raise ValueError(text)
+    value = kw["type"](text) if "type" in kw else text
+    if "choices" in kw and value not in kw["choices"]:
+        raise ValueError(text)
+    return value
+
+
+def _read_plain(argv):
+    """The namespace that argparse gives for `argv`, read straight from the
+    spec in `_COMMANDS`, when argv is plainly valid for a single-level
+    command: exact option names, each at most once, as `--opt value` or
+    `--opt=value`; values that convert and pass their choices; every
+    positional and required option present.  None for anything argparse
+    has to judge (help, `--`, an abbreviation, a value starting with `-`
+    unless written `--opt=value`, `sum`'s list, a nested or unknown
+    command), and `run` then parses argv with argparse."""
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if not isinstance(spec, tuple):
+        return None
+    _, positionals, options = spec
+    words, given, machine = [], {}, False
+    rest = iter(argv[1:])
+    for tok in rest:
+        if tok[:1] != "-":
+            words.append(tok)
+            continue
+        if tok == "--machine" and not machine:
+            machine = True
+            continue
+        key, eq, text = tok[2:].partition("=")
+        if tok[:2] != "--" or key not in options or key in given:
+            return None
+        if not eq:
+            text = next(rest, "-")
+            if text[:1] == "-":
+                return None
+        elif not text:
+            return None
+        given[key] = text
+    if len(words) != len(positionals):
+        return None
+    ns = argparse.Namespace(command=argv[0], func=globals()["_cmd_" + argv[0]], machine=machine)
     try:
-        try:
-            args = ap.parse_args(argv)
-        except SystemExit as exc:  # -h printed the help; argparse exits 0
-            return exc.code
+        for pos, text in zip(positionals, words):
+            dest, kw = (pos, {}) if isinstance(pos, str) else pos
+            setattr(ns, dest, _value(kw, text))
+        for key, kw in options.items():
+            if key in given:
+                setattr(ns, key, _value(kw, given[key]))
+            elif kw.get("required"):
+                return None
+            else:
+                setattr(ns, key, kw.get("default"))
+    except ValueError:
+        return None
+    return ns
+
+
+def run(argv=None) -> int:
+    """Run one command and return its exit code (see the module docstring).
+    A plainly valid argv is read from its command's spec by `_read_plain`;
+    any other (help, a usage error, `sum`, `tori`, `build`) goes to the
+    argparse parser of `build_parser`, which words every help text and
+    usage error.  Any failure is one line on stderr."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        args = _read_plain(argv)
+        if args is None:
+            try:
+                args = build_parser(argv).parse_args(argv)
+            except SystemExit as exc:  # -h printed the help; argparse exits 0
+                return exc.code
         sys.stdout.write(args.func(args))
         return 0
     except ParseError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+        code, message = 1, "error: %s" % exc
     except LimitError as exc:
-        print("limit exceeded: %s" % exc, file=sys.stderr)
-        return 2
+        code, message = 2, "limit exceeded: %s" % exc
     except AlexlabError as exc:
-        print("invalid input: %s" % exc, file=sys.stderr)
-        return 3
+        code, message = 3, "invalid input: %s" % exc
     except Exception as exc:
-        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 4
+        code, message = 4, "internal error: %s: %s" % (type(exc).__name__, exc)
+    # One line even when the message quotes an argument with a newline.
+    print(message.replace("\n", "\\n"), file=sys.stderr)
+    return code
 
 
 def main():

@@ -100,6 +100,11 @@ def _tuple_bound(nvars: int, vectors) -> int:
     return _check_bound(max(map(abs, chain.from_iterable(vectors)), default=0))
 
 
+def _check_ints(e, c) -> None:
+    if not (isinstance(c, int) and all(isinstance(x, int) for x in e)):
+        raise DomainError("exponents and coefficients must be integers, got %r, %r" % (e, c))
+
+
 def _ranges(items, n: int) -> tuple[list[int], list[int]]:
     """Per-variable minimum and maximum exponent of nonzero `items`.  The
     first variable's come from the first and last keys (a univariate key is
@@ -138,7 +143,8 @@ class LaurentPoly:
 
     The constructor takes (exponent vector, coefficient) pairs in any
     order: coefficients of a repeated vector are added up, zero sums are
-    dropped, and a vector whose length is not `nvars` raises DomainError.
+    dropped, and a vector whose length is not `nvars`, or a coefficient or
+    exponent that is not an int, raises DomainError.
     `terms` gives them back as a tuple sorted lexicographically by exponent
     vector, with no zero coefficients.  It is a view decoded from the
     stored keys on first use and kept; `==`, `hash` and arithmetic never
@@ -157,6 +163,7 @@ class LaurentPoly:
         for e, c in terms:
             if len(e) != nvars:
                 raise DomainError("exponent vector length does not match nvars")
+            _check_ints(e, c)
             k = _key(e)
             acc[k] = get(k, 0) + c
         # Over every given vector, dropped ones too: past the bound two
@@ -212,12 +219,13 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, nvars: int, exps, c: int = 1) -> "LaurentPoly":
-        exps = tuple(int(x) for x in exps)
+        exps = tuple(exps)
         if len(exps) != nvars:
             raise DomainError("exponent vector length does not match nvars")
+        _check_ints(exps, c)
         if c == 0:
             return cls.zero(nvars)
-        return _poly(nvars, ((_key(exps), int(c)),), _tuple_bound(nvars, (exps,)))
+        return _poly(nvars, ((_key(exps), c),), _tuple_bound(nvars, (exps,)))
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "LaurentPoly":

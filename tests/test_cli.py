@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from alexlab import cli, fpgroup, laurent
+from alexlab.errors import ParseError
 
 TREFOIL_FP = "gens a b\nrel a^2 b^-3\n"
 SOL_FP = (
@@ -452,17 +456,226 @@ def test_lazy_parser_matches_full_tree(capsys, monkeypatch, tmp_path, argv):
 
 
 def test_cv_request_adds_one_leaf(capsys, monkeypatch, trefoil_file):
-    leaves = []
-    real_leaf = cli._leaf
+    # A plainly valid cv argv is read from its spec and builds no parser;
+    # one that argparse has to judge (the abbreviation --rh) builds the cv
+    # leaf alone and gives the same output.
+    built, leaves = [], []
+    real_build, real_leaf = cli.build_parser, cli._leaf
+
+    def counting_build(argv=()):
+        built.append(list(argv))
+        return real_build(argv)
 
     def counting_leaf(sub, name, *args, **kwargs):
         leaves.append(name)
         real_leaf(sub, name, *args, **kwargs)
 
+    monkeypatch.setattr(cli, "build_parser", counting_build)
     monkeypatch.setattr(cli, "_leaf", counting_leaf)
-    code, out, _ = run_cli(capsys, "cv", trefoil_file, "--rho", "1/6")
-    assert (code, out) == (0, "dim: 1\nV_1: yes\n")
-    assert leaves == ["cv"]
+    plain = run_cli(capsys, "cv", trefoil_file, "--rho", "1/6")
+    assert plain == (0, "dim: 1\nV_1: yes\n", "")
+    assert (built, leaves) == ([], [])
+    assert run_cli(capsys, "cv", trefoil_file, "--rh", "1/6") == plain
+    assert (built, leaves) == ([["cv", trefoil_file, "--rh", "1/6"]], ["cv"])
+
+
+# -- the plain reader against argparse ---------------------------------------
+
+# The commands that `_read_plain` reads: single-level, and not `sum`,
+# whose list of files it leaves to argparse.
+READ = [name for name, spec in cli._COMMANDS.items() if isinstance(spec, tuple) and name != "sum"]
+
+
+def _options_where(test):
+    return [name for name in READ if any(test(k, kw) for k, kw in cli._COMMANDS[name][2].items())]
+
+
+# Each way to spoil a valid argv, with the commands it can spoil (default:
+# every command, nested and unknown ones too).  The first group must be
+# declined by `_read_plain` whatever the rest of argv is; argparse judges
+# the second.
+DECLINED = (
+    "abbreviation", "repeat", "help", "double_dash", "single_dash", "unknown_option",
+    "negative", "empty_value", "no_value", "machine_value",
+)
+MUTATIONS = DECLINED + (
+    "non_integer", "bad_choice", "drop_positional", "extra_positional", "drop_required",
+)
+TARGETS = {
+    "abbreviation": _options_where(lambda key, kw: len(key) > 1),
+    "non_integer": _options_where(lambda key, kw: kw.get("type") is int),
+    "bad_choice": ["test"],
+    "drop_required": _options_where(lambda key, kw: kw.get("required")),
+}
+
+
+def _units(spec, draw):
+    """A valid argv for a single-level `spec` as units (lists of tokens):
+    the options, each as [--key, value] or [--key=value], and the
+    positionals."""
+    _, positionals, options = spec
+    pos = []
+    for p in positionals:
+        kw = {} if isinstance(p, str) else p[1]
+        if "choices" in kw:
+            pos.append([draw(st.sampled_from(kw["choices"]))])
+        else:
+            files = draw(st.lists(st.sampled_from(["g.fp", "a b.fp", "", "7"]), min_size=1, max_size=2))
+            pos.extend([f] for f in (files if "nargs" in kw else files[:1]))
+    opts = []
+    for key, kw in options.items():
+        if not kw.get("required") and draw(st.booleans()):
+            continue
+        if kw.get("type") is int:
+            value = str(draw(st.integers(0, 12)))
+        else:
+            value = draw(st.sampled_from(["1/6", "1,0", "5/6", "x", "0"]))
+        opts.append(["--%s=%s" % (key, value)] if draw(st.booleans()) else ["--" + key, value])
+    if draw(st.booleans()):
+        opts.append(["--machine"])
+    return opts, pos
+
+
+def _key(unit):
+    return unit[0][2:].partition("=")[0]
+
+
+def _mutate(name, options, opts, pos, draw):
+    """Apply mutation `name` to the units in place; returns the tokens that
+    go after every unit (an option left without its value)."""
+    valued = [i for i, u in enumerate(opts) if _key(u) != "machine"]
+    if name in ("negative", "empty_value", "no_value"):
+        # Spoil the value of a given option, or use an unknown one.
+        key = _key(opts.pop(draw(st.sampled_from(valued)))) if valued else "k"
+        if name == "no_value":
+            return ["--" + key]
+        opts.append(["--%s=" % key] if name == "empty_value" else ["--" + key, draw(st.sampled_from(["-1", "-1/6"]))])
+    elif name == "abbreviation":
+        key = draw(st.sampled_from([k for k in options if len(k) > 1] + ["machine"]))
+        units = [u for u in opts if _key(u) == key]
+        if not units:
+            units = [["--" + key] + (["1"] if key != "machine" else [])]
+            opts.extend(units)
+        short = key[: draw(st.integers(1, len(key) - 1))]
+        if short not in options:  # not itself an exact option
+            units[0][0] = "--" + short + units[0][0][2 + len(key):]
+    elif name == "repeat":
+        opts.append(list(draw(st.sampled_from(opts))) if opts else ["--machine"] * 2)
+    elif name == "non_integer":
+        key = draw(st.sampled_from([k for k, kw in options.items() if kw.get("type") is int]))
+        opts[:] = [u for u in opts if _key(u) != key] + [["--" + key, draw(st.sampled_from(["1.5", "one", "1/2"]))]]
+    elif name == "bad_choice":
+        pos[:] = [["hodge"] if u[0] in ("kahler", "qp") else u for u in pos]
+    elif name == "drop_positional":
+        if pos:
+            del pos[draw(st.integers(0, len(pos) - 1))]
+    elif name == "extra_positional":
+        pos.insert(draw(st.integers(0, len(pos))), ["extra.fp"])
+    elif name == "drop_required":
+        opts[:] = [u for u in opts if not options.get(_key(u), {}).get("required")]
+    else:
+        opts.append([draw(st.sampled_from({
+            "help": ["-h", "--help"],
+            "double_dash": ["--"],
+            "single_dash": ["-k", "-m"],
+            "unknown_option": ["--frob", "--k1"],
+            "machine_value": ["--machine=x", "--machine=", "--machine=1"],
+        }[name]))])
+    return []
+
+
+@st.composite
+def leaf_argv(draw):
+    """(argv, mutation): an argv valid for a command's spec, spoiled by one
+    mutation or by none; nested and unknown commands get no positionals and
+    no options but --machine."""
+    mutation = draw(st.sampled_from((None,) * 3 + MUTATIONS))
+    name = draw(st.sampled_from(TARGETS.get(mutation, list(cli._COMMANDS) + ["frobnicate"])))
+    spec = cli._COMMANDS.get(name)
+    if not isinstance(spec, tuple):
+        spec = ("", (), {})
+    opts, pos = _units(spec, draw)
+    tail = _mutate(mutation, spec[2], opts, pos, draw) if mutation else []
+    # Options go anywhere, positionals keep their order among themselves.
+    order = draw(st.permutations(range(len(opts) + len(pos))))
+    units = opts + pos
+    slots = sorted(i for i in order if i >= len(opts))
+    mixed = [units[i] if i < len(opts) else units[slots.pop(0)] for i in order]
+    return [name] + [tok for unit in mixed for tok in unit] + tail, mutation
+
+
+def _argparse_namespace(argv):
+    """argparse's namespace for argv, or None where it refuses or prints help."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return cli.build_parser(argv).parse_args(argv)
+    except (ParseError, SystemExit):
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(leaf_argv())
+def test_plain_reader_agrees_with_argparse(case):
+    argv, mutation = case
+    ns = cli._read_plain(argv)
+    expected = _argparse_namespace(argv)
+    if ns is not None:
+        assert expected is not None and vars(ns) == vars(expected)
+    if mutation in DECLINED:
+        assert ns is None
+    if mutation is None and argv[0] in READ:
+        assert ns is not None  # every plainly valid argv takes the fast path
+
+
+def test_plain_reader_declines_what_argparse_words():
+    for argv in PARSER_ARGVS + [["sum", "a.fp"], ["tori", "intersect", "--t1", "n=1", "--t2", "n=1"]]:
+        assert cli._read_plain(argv) is None, argv
+    ns = cli._read_plain(["test", "--kmax=-2", "qp", "g.fp", "--machine"])
+    assert vars(ns) == vars(_argparse_namespace(["test", "--kmax=-2", "qp", "g.fp", "--machine"]))
+    assert (ns.which, ns.kmax, ns.func) == ("qp", -2, cli._cmd_test)
+
+
+# -- the exit-code contract under random argv -----------------------------------
+
+FUZZ_HEADS = [[name] for name in cli._COMMANDS] + [
+    ["tori", "intersect"], ["build", "torusknot"], ["build", "torusbundle"],
+    ["build", "freebycyclic"], ["frobnicate"], ["-h"],
+]
+FUZZ_WORDS = [
+    "FILE", "FILE", "-h", "--", "--machine", "--machine=x", "--k", "--kmax", "--rho",
+    "--phi", "--data", "--t1", "--t2", "--matrix", "--p", "--q", "--rank", "--image",
+    "--rh", "--km", "--mach", "--k=1", "--rho=-1/6", "1/6", "-1/6", "1/0", "0", "1", "2",
+    "-1", "1.5", "kahler", "qp", "1,0", "n=2;rows=(1,0)", "n=1;q=(1/2)", "2,1,1,1", "x1 x2",
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    f = tmp_path_factory.mktemp("fuzz") / "trefoil.fp"
+    f.write_text(TREFOIL_FP)
+    return str(f)
+
+
+# Numbers stay small: huge --rank, --kmax or torus ranks are work budgets
+# (ROADMAP item 1), not the exit-code contract.
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(FUZZ_HEADS),
+    st.lists(st.one_of(st.sampled_from(FUZZ_WORDS), st.text(max_size=4)), max_size=7),
+)
+@example(["ball"], ["a\x00b"])  # open() raises ValueError for a NUL
+@example(["abelianize"], ["a\nb"])  # the message quotes the newline
+def test_random_argv_keeps_the_exit_code_contract(fuzz_file, head, words):
+    argv = head + [fuzz_file if w == "FILE" else w for w in words]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
+        assert "Traceback" not in err.getvalue()
+    else:
+        assert err.getvalue() == ""
 
 
 def test_module_entry_point(capsys, trefoil_file):

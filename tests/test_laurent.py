@@ -77,6 +77,19 @@ def test_constructor_merges_repeats_drops_zeros_and_checks_lengths():
         LaurentPoly(2, [((0, 2**32), 1), ((1, 0), -1)])
 
 
+def test_constructor_and_monomial_refuse_non_integers():
+    # A float coefficient would print as `1*t` (the text form uses %d) and
+    # a float exponent would become a key.
+    for nvars, e, c in ((1, (1,), 1.5), (1, (1.5,), 1), (2, (1, 0.0), 1), (1, (1,), Fraction(1))):
+        with pytest.raises(DomainError):
+            LaurentPoly(nvars, [(e, c)])
+        with pytest.raises(DomainError):
+            LaurentPoly.monomial(nvars, e, c)
+    with pytest.raises(DomainError):  # a zero coefficient is checked too
+        LaurentPoly.monomial(1, (1,), 0.0)
+    assert LaurentPoly(1, [((1,), 3)]) == LaurentPoly.monomial(1, (1,), 3)
+
+
 def test_canonical_shift_and_sign():
     p = P(1, ((-1,), 1), ((0,), -1))  # t^-1 - 1
     assert p.canonical() == P(1, ((0,), -1), ((1,), 1)).canonical() == T - ONE
