@@ -8,9 +8,7 @@ necessary-condition tests for Kahler and quasi-projective groups.
 
 from .errors import AlexlabError, DomainError, LimitError, ParseError
 from .exactla import (
-    IntMatrix,
     Lattice,
-    SnfResult,
     integer_rank,
     lattice_from_generators,
     saturate,
@@ -74,9 +72,7 @@ __all__ = [
     "DomainError",
     "LimitError",
     "ParseError",
-    "IntMatrix",
     "Lattice",
-    "SnfResult",
     "integer_rank",
     "lattice_from_generators",
     "saturate",

@@ -306,17 +306,17 @@ def _cmd_build(args) -> str:
     elif args.family == "torusknot":
         p = builders.torus_knot(args.p, args.q)
     else:
-        m = args.rank
+        m, texts = args.rank, args.image or []
+        if len(texts) != m:
+            raise ParseError(
+                "freebycyclic needs exactly --rank many --image words (%d != %d)"
+                % (len(texts), m)
+            )
         names = {"x%d" % (i + 1): i for i in range(m)}
         images = [
             fpgroup.Word.from_pairs(fpgroup._parse_token(t, names) for t in text.split())
-            for text in args.image or []
+            for text in texts
         ]
-        if len(images) != m:
-            raise ParseError(
-                "freebycyclic needs exactly --rank many --image words (%d != %d)"
-                % (len(images), m)
-            )
         p = builders.free_by_cyclic(images)
     text = fpgroup.serialize_presentation(p)
     if args.machine:

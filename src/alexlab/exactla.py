@@ -1,16 +1,16 @@
-"""Exact linear algebra: Smith normal form, kernels, Hermite form, lattice
-saturation, and `bareiss`, the one fraction-free elimination behind the
-integer determinant here and both polynomial ranks in `alexinv` (over
-Frac Z[H], and at a torsion character, over Z[t]).  A rank over Frac Z[H]
-of a matrix with at most one row or column needs none: `alexinv._frac_rank`
-reads it off the nonzero entries.  The integer rank streams rows into an
-echelon basis instead and stops at full column rank.  The sum and the
-intersection of two lattices have no function here: `torusgeo.intersect`
-reads both off one Hermite form of a stacked basis.
+"""Exact linear algebra on integer matrices given as lists of rows: Smith
+normal form, Hermite form, lattice saturation, integer solutions of P X = Q,
+and `bareiss`, the one fraction-free elimination behind both polynomial
+ranks in `alexinv` (over Frac Z[H], and at a torsion character, over Z[t]).
+A rank over Frac Z[H] of a matrix with at most one row or column needs
+none: `alexinv._frac_rank` reads it off the nonzero entries.  The integer
+rank streams rows into an echelon basis instead and stops at full column
+rank.  The sum and the intersection of two lattices have no function here:
+`torusgeo.intersect` reads both off one Hermite form of a stacked basis.
 
 Apart from `bareiss`, which works in place over any exact domain, everything
-here works with plain Python integers (arbitrary precision) and immutable
-values, and is pure.
+here works with plain Python integers (arbitrary precision), leaves its
+arguments as they are, and is pure.
 """
 
 from __future__ import annotations
@@ -18,80 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
-from operator import floordiv
 
 from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix, entries stored row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise DomainError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise DomainError(
-                "entry count %d does not match %d x %d"
-                % (len(self.entries), self.rows, self.cols)
-            )
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise DomainError("ragged rows")
-        return cls(len(rows), ncols, tuple(int(x) for r in rows for x in r))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_list(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise DomainError("dimension mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            out.append(
-                [
-                    sum(ri[k] * other[k, j] for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-            )
-        return IntMatrix(self.rows, other.cols, tuple(x for r in out for x in r))
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self[i, i] for i in range(min(self.rows, self.cols)))
-
-
-@dataclass(frozen=True)
-class SnfResult:
-    """U * A * V = D with U, V unimodular and D diagonal, nonnegative,
-    each entry dividing the next."""
-
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
 
 
 def bareiss(m, div, size):
@@ -136,28 +64,22 @@ def bareiss(m, div, size):
     return r, -prev if inversions % 2 else prev
 
 
-def _int_size(e: int):
-    return abs(e) or None
-
-
-def determinant(A: IntMatrix) -> int:
-    """Exact determinant, by `bareiss`."""
-    if A.rows != A.cols:
-        raise DomainError("determinant of a non-square matrix")
-    rank, minor = bareiss(A.row_list(), floordiv, _int_size)
-    return minor if rank == A.rows else 0
-
-
-def integer_rank(A: IntMatrix) -> int:
-    """Rank of A over the rationals.  The rows stream into a fraction-free
-    echelon basis: each is reduced by the basis rows at their pivot columns
-    (row * pivot - entry * basis row), then divided by its content and kept
-    when nonzero, its first nonzero column its pivot.  The pass stops once
-    the rank reaches the column count, so a tall matrix of full column rank
-    (the difference vectors of a large support) costs a few rows."""
-    basis = []
-    for i in range(A.rows):
-        row = A.row(i)
+def integer_rank(rows) -> int:
+    """Rank over the rationals of the matrix with the given rows, an
+    iterable of integer sequences of one length (a row read whose length
+    differs from the first's raises DomainError).  The rows stream into a
+    fraction-free echelon basis: each is reduced by the basis rows at their
+    pivot columns (row * pivot - entry * basis row), then divided by its
+    content and kept when nonzero, its first nonzero column its pivot.  The
+    pass stops once the rank reaches the column count and pulls no further
+    row, so a tall matrix of full column rank (the difference vectors of a
+    large support) costs a few rows."""
+    basis, ncols = [], None
+    for row in rows:
+        if ncols is None:
+            ncols = len(row)
+        elif len(row) != ncols:
+            raise DomainError("ragged rows")
         for pc, b in basis:
             x = row[pc]
             if x:
@@ -167,7 +89,7 @@ def integer_rank(A: IntMatrix) -> int:
         if g:
             row = [y // g for y in row] if g != 1 else row
             basis.append((next(j for j, y in enumerate(row) if y), row))
-            if len(basis) == A.cols:
+            if len(basis) == ncols:
                 break
     return len(basis)
 
@@ -191,26 +113,32 @@ def _add_col(m, dst, src, c):
         row[dst] += c * row[src]
 
 
-def smith_normal_form(A: IntMatrix) -> SnfResult:
-    """Smith normal form by elementary row/column reduction.
+def smith_normal_form(rows):
+    """Smith normal form (U, d, V) of the matrix A with the given rows, by
+    elementary row/column reduction: U and V are unimodular row lists and
+    d the list of the min(rows, cols) diagonal entries, nonnegative, each
+    dividing the next, so that U A V is diagonal with diagonal d.  Ragged
+    rows raise DomainError.
 
     Pivot selection: smallest nonzero absolute value in the remaining
     submatrix, ties broken by (row, col) order, so the transforms are
     reproducible.
     """
-    nr, nc = A.rows, A.cols
-    d = A.row_list()
+    m = [list(r) for r in rows]
+    nr, nc = len(m), len(m[0]) if m else 0
+    if any(len(r) != nc for r in m):
+        raise DomainError("ragged rows")
     u = _identity_rows(nr)
     v = _identity_rows(nc)
 
     t = 0
     while t < min(nr, nc):
-        # Smallest-magnitude nonzero pivot in d[t:, t:].
+        # Smallest-magnitude nonzero pivot in m[t:, t:].
         piv = None
         best = None
         for i in range(t, nr):
             for j in range(t, nc):
-                e = d[i][j]
+                e = m[i][j]
                 if e != 0 and (best is None or abs(e) < best):
                     best = abs(e)
                     piv = (i, j)
@@ -218,28 +146,28 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
             break
         pi, pj = piv
         if pi != t:
-            _swap_rows(d, t, pi)
+            _swap_rows(m, t, pi)
             _swap_rows(u, t, pi)
         if pj != t:
-            _swap_cols(d, t, pj)
+            _swap_cols(m, t, pj)
             _swap_cols(v, t, pj)
 
         dirty = False
         for i in range(t + 1, nr):
-            if d[i][t]:
-                q = d[i][t] // d[t][t]
+            if m[i][t]:
+                q = m[i][t] // m[t][t]
                 if q:
-                    _add_row(d, i, t, -q)
+                    _add_row(m, i, t, -q)
                     _add_row(u, i, t, -q)
-                if d[i][t]:
+                if m[i][t]:
                     dirty = True
         for j in range(t + 1, nc):
-            if d[t][j]:
-                q = d[t][j] // d[t][t]
+            if m[t][j]:
+                q = m[t][j] // m[t][t]
                 if q:
-                    _add_col(d, j, t, -q)
+                    _add_col(m, j, t, -q)
                     _add_col(v, j, t, -q)
-                if d[t][j]:
+                if m[t][j]:
                     dirty = True
         if dirty:
             continue  # a smaller pivot appeared; redo this step
@@ -248,41 +176,34 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
         offender = None
         for i in range(t + 1, nr):
             for j in range(t + 1, nc):
-                if d[i][j] % d[t][t]:
+                if m[i][j] % m[t][t]:
                     offender = i
                     break
             if offender is not None:
                 break
         if offender is not None:
-            _add_row(d, t, offender, 1)
+            _add_row(m, t, offender, 1)
             _add_row(u, t, offender, 1)
             continue
         t += 1
 
     # Sign fix: diagonal nonnegative via row scaling by -1 (det flips, still unimodular).
     for i in range(min(nr, nc)):
-        if d[i][i] < 0:
-            d[i] = [-x for x in d[i]]
+        if m[i][i] < 0:
+            m[i] = [-x for x in m[i]]
             u[i] = [-x for x in u[i]]
 
-    return SnfResult(_wrap(nr, nr, u), _wrap(nr, nc, d), _wrap(nc, nc, v))
+    return u, [m[i][i] for i in range(min(nr, nc))], v
 
 
 def _identity_rows(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _wrap(nr: int, nc: int, rows) -> IntMatrix:
-    """An IntMatrix of row lists whose entries are ints already."""
-    return IntMatrix(nr, nc, tuple(x for r in rows for x in r))
-
-
-def kernel_basis(A: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the saturated lattice {v in Z^cols : A v = 0}."""
-    snf = smith_normal_form(A)
-    rank = sum(1 for x in snf.D.diagonal() if x)
-    V = snf.V
-    return [tuple(V[i, j] for i in range(A.cols)) for j in range(rank, A.cols)]
+def _matmul(A, B) -> list[list[int]]:
+    """The product of row lists A and B, B with one row per column of A."""
+    cols = list(zip(*B))
+    return [[sum(x * y for x, y in zip(a, c)) for c in cols] for a in A]
 
 
 def hermite_row_basis(rows, ambient: int) -> list[tuple[int, ...]]:
@@ -345,7 +266,7 @@ class Lattice:
         # Rows with strictly increasing leading columns (a Hermite basis
         # among them) are independent; only another basis needs its rank.
         if not _is_echelon(self.basis):
-            r = integer_rank(IntMatrix.from_rows(self.basis))
+            r = integer_rank(self.basis)
             if r != len(self.basis):
                 raise DomainError("basis vectors are rationally dependent")
 
@@ -394,33 +315,26 @@ def saturate(L: Lattice) -> Lattice:
     """
     if _is_unit_hermite(L.basis):
         return L
-    B = IntMatrix.from_rows(L.basis)
-    snf = smith_normal_form(B)
-    UB = snf.U.mul(B)
-    rows = [[x // d for x in UB.row(i)] for i, d in enumerate(snf.D.diagonal()) if d]
+    U, d, _ = smith_normal_form(L.basis)
+    rows = [[x // di for x in row] for di, row in zip(d, _matmul(U, L.basis)) if di]
     return lattice_from_generators(L.ambient, rows)
 
 
-def solve_integer(P: IntMatrix, Q: IntMatrix) -> IntMatrix | None:
-    """An integer solution X of P X = Q, or None when none exists."""
-    if P.rows != Q.rows:
+def solve_integer(P, Q):
+    """An integer solution X of P X = Q, or None when none exists; P, Q and
+    X are row lists.  With U P V = diag(d) of rank r, X = V Y for the Y
+    with d_i Y_i = (U Q)_i, which needs d_i to divide row i of U Q for
+    i < r and that row to vanish for i >= r."""
+    if len(P) != len(Q):
         raise DomainError("row mismatch in solve_integer")
-    snf = smith_normal_form(P)
-    rank = sum(1 for x in snf.D.diagonal() if x)
-    UQ = snf.U.mul(Q)
-    Y = [[0] * Q.cols for _ in range(P.cols)]
-    for i in range(P.rows):
-        if i < rank:
-            di = snf.D[i, i]
-            for j in range(Q.cols):
-                if UQ[i, j] % di:
-                    return None
-                Y[i][j] = UQ[i, j] // di
-        else:
-            for j in range(Q.cols):
-                if UQ[i, j]:
-                    return None
-    return snf.V.mul(IntMatrix.from_rows(Y))
+    U, d, V = smith_normal_form(P)
+    r = sum(1 for x in d if x)
+    UQ = _matmul(U, Q)
+    if any(map(any, UQ[r:])) or any(x % di for di, row in zip(d, UQ[:r]) for x in row):
+        return None
+    zero = [0] * (len(Q[0]) if Q else 0)
+    Y = [[x // di for x in row] for di, row in zip(d, UQ[:r])] + [zero] * (len(V) - r)
+    return _matmul(V, Y)
 
 
 def content(values) -> int:

@@ -212,24 +212,22 @@ def abelianize(p: GroupPresentation) -> AbelianizationData:
         return AbelianizationData(0, (), ())
     if not rows:
         rows = [(0,) * g]  # a zero row keeps the SNF shapes uniform
-    R = exactla.IntMatrix.from_rows(rows)
-    snf = exactla.smith_normal_form(R)
-    diag = list(snf.D.diagonal()) + [0] * (g - min(R.rows, g))
-    free_cols = [j for j in range(g) if j >= len(diag) or diag[j] == 0]
-    torsion = tuple(d for d in diag if d > 1)
-    V = snf.V
+    _, diag, V = exactla.smith_normal_form(rows)
+    diag += [0] * (g - len(diag))
+    free_cols = [j for j in range(g) if diag[j] == 0]
+    torsion = tuple(x for x in diag if x > 1)
     # Deterministic basis: flip any free column whose first nonzero entry is
     # negative (composes the quotient with a diagonal +-1 automorphism).
     signs = []
     for j in free_cols:
         s = 1
         for i in range(g):
-            if V[i, j]:
-                s = 1 if V[i, j] > 0 else -1
+            if V[i][j]:
+                s = 1 if V[i][j] > 0 else -1
                 break
         signs.append(s)
     images = tuple(
-        tuple(s * V[i, j] for s, j in zip(signs, free_cols)) for i in range(g)
+        tuple(s * V[i][j] for s, j in zip(signs, free_cols)) for i in range(g)
     )
     return AbelianizationData(len(free_cols), torsion, images)
 

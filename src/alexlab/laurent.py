@@ -268,13 +268,6 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return all(k == 0 for k, _ in self._items)
 
-    def constant_value(self) -> int:
-        if self.is_zero():
-            return 0
-        if not self.is_constant():
-            raise DomainError("not a constant polynomial")
-        return self._items[0][1]
-
     def is_unit(self) -> bool:
         """Units of Z[H]: plus or minus a single monomial."""
         items = self._items
@@ -285,11 +278,6 @@ class LaurentPoly:
 
     def support(self) -> tuple[tuple[int, ...], ...]:
         return tuple(e for e, _ in self.terms)
-
-    def min_exponents(self) -> tuple[int, ...]:
-        if self.is_zero():
-            return (0,) * self.nvars
-        return tuple(_span(self)[0])
 
     def total_degree_spread(self) -> int:
         """max minus min of the total degree over the support (0 for 0).
@@ -757,12 +745,19 @@ def newton_dim(p: LaurentPoly) -> int:
     """Dimension of the affine hull of the support."""
     if p.is_zero():
         raise DomainError("Newton polytope of the zero polynomial")
-    pts = p.support()
-    if len(pts) == 1:
+    items, n = p._items, p.nvars
+    if len(items) == 1:
         return 0
-    base = pts[0]
-    flat = tuple(a - b for s in pts[1:] for a, b in zip(s, base))
-    return exactla.integer_rank(exactla.IntMatrix(len(pts) - 1, p.nvars, flat))
+    if n == 1:
+        return 1
+    # Difference rows of the biased digits, which differ as the exponents
+    # do, decoded only as far as `integer_rank` reads them.
+    bias, shifts = _layout(n)
+    k0 = items[0][0] + bias
+    base = [(k0 >> s) & _MASK for s in shifts]
+    return exactla.integer_rank(
+        [(((k + bias) >> s) & _MASK) - b for s, b in zip(shifts, base)] for k, _ in items[1:]
+    )
 
 
 @dataclass(frozen=True)

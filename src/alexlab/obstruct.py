@@ -142,12 +142,10 @@ def _inclusion_rows(factor_images, product_images, b1_factor: int, b1_product: i
     solved from the generator images (which generate H_factor)."""
     if b1_factor == 0:
         return [()] * b1_product
-    P = exactla.IntMatrix.from_rows(factor_images)
-    Q = exactla.IntMatrix.from_rows(product_images)
-    MT = exactla.solve_integer(P, Q)
+    MT = exactla.solve_integer(factor_images, product_images)
     if MT is None:
         raise DomainError("no integral inclusion matrix; inconsistent abelianizations")
-    return [tuple(MT[c, r] for c in range(b1_factor)) for r in range(b1_product)]
+    return list(zip(*MT))
 
 
 def connected_sum_report(ps, kmax: int = DEFAULT_KMAX) -> ConnectedSumReport:

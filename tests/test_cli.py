@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -192,6 +193,22 @@ def test_build_round_trip(capsys, tmp_path):
 
     code, out, err = run_cli(capsys, "build", "torusbundle", "--matrix", "2,0,0,2")
     assert code == 3  # non-unimodular
+
+
+def test_build_image_count_is_checked_before_the_generator_names(capsys):
+    """A wrong --image count is a usage error, found before a name is made
+    for each of the --rank generators."""
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "build", "freebycyclic", "--rank", "1000000", "--image", "x1"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert "(1 != 1000000)" in err
+    assert peak < 1 << 20, peak
 
 
 def test_sum_cli(capsys, tmp_path, sol_file):

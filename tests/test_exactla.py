@@ -1,98 +1,131 @@
 import random
 from itertools import combinations, permutations
 from math import gcd
+from operator import floordiv
 
 import pytest
 
 from alexlab import exactla
 from alexlab.errors import DomainError
-from alexlab.exactla import IntMatrix, Lattice, lattice_from_generators
+from alexlab.exactla import Lattice, lattice_from_generators
 
 
 def random_matrix(rng, max_dim=5, lo=-9, hi=9):
     r = rng.randint(1, max_dim)
     c = rng.randint(1, max_dim)
-    return IntMatrix.from_rows(
-        [[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)]
-    )
+    return [[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def matmul(A, B):
+    """Oracle: the product of two row lists, entry by entry."""
+    n, m = len(B), len(B[0])
+    return [[sum(a[k] * B[k][j] for k in range(n)) for j in range(m)] for a in A]
+
+
+def determinant(rows):
+    """Exact determinant of a square row list, by `exactla.bareiss`."""
+    rank, minor = exactla.bareiss([list(r) for r in rows], floordiv, lambda e: abs(e) or None)
+    return minor if rank == len(rows) else 0
+
+
+def kernel_basis(rows):
+    """Oracle: a basis of the saturated lattice {v : A v = 0}, the last
+    columns of V in a Smith form U A V, past the rank."""
+    _, d, V = exactla.smith_normal_form(rows)
+    n, rank = len(V), sum(1 for x in d if x)
+    return [tuple(V[i][j] for i in range(n)) for j in range(rank, n)]
 
 
 def minor_gcd(A, k):
     """Oracle: gcd of all k x k minors, by direct enumeration."""
     g = 0
-    for rows in combinations(range(A.rows), k):
-        for cols in combinations(range(A.cols), k):
-            sub = IntMatrix.from_rows([[A[i, j] for j in cols] for i in rows])
-            g = gcd(g, exactla.determinant(sub))
+    for rows in combinations(range(len(A)), k):
+        for cols in combinations(range(len(A[0])), k):
+            g = gcd(g, determinant([[A[i][j] for j in cols] for i in rows]))
     return g
 
 
 def check_snf(A):
-    snf = exactla.smith_normal_form(A)
-    assert snf.U.mul(A).mul(snf.V).entries == snf.D.entries
-    assert abs(exactla.determinant(snf.U)) == 1
-    assert abs(exactla.determinant(snf.V)) == 1
-    diag = snf.D.diagonal()
-    for i in range(A.rows):
-        for j in range(A.cols):
-            if i != j:
-                assert snf.D[i, j] == 0
-    for a, b in zip(diag, diag[1:]):
+    U, d, V = exactla.smith_normal_form(A)
+    nr, nc = len(A), len(A[0])
+    assert len(d) == min(nr, nc)
+    D = [[d[i] if i == j else 0 for j in range(nc)] for i in range(nr)]
+    assert matmul(matmul(U, A), V) == D
+    assert abs(determinant(U)) == 1
+    assert abs(determinant(V)) == 1
+    for a, b in zip(d, d[1:]):
         assert a >= 0 and b >= 0
         if a == 0:
             assert b == 0
         else:
             assert b % a == 0
-    return snf
+    return U, d, V
 
 
 def test_snf_identity():
-    A = IntMatrix.identity(2)
-    snf = check_snf(A)
-    assert snf.D.entries == A.entries
-    assert snf.U.entries == A.entries
-    assert snf.V.entries == A.entries
+    A = identity(2)
+    assert check_snf(A) == (A, [1, 1], A)
 
 
 def test_snf_2x2_example():
     # Oracle: d1 = gcd of entries = 2, d1*d2 = |det| = |2*8 - 4*6| = 8.
-    A = IntMatrix.from_rows([[2, 4], [6, 8]])
-    snf = check_snf(A)
-    assert snf.D.diagonal() == (2, 4)
+    _, d, _ = check_snf([[2, 4], [6, 8]])
+    assert d == [2, 4]
 
 
 def test_snf_zero_matrix():
-    A = IntMatrix.zero(2, 3)
-    snf = check_snf(A)
-    assert all(x == 0 for x in snf.D.entries)
+    _, d, _ = check_snf([[0, 0, 0], [0, 0, 0]])
+    assert d == [0, 0]
 
 
 def test_snf_uniqueness_of_d():
     rng = random.Random(7)
     A = random_matrix(rng)
-    d1 = exactla.smith_normal_form(A).D.entries
-    d2 = exactla.smith_normal_form(A).D.entries
-    assert d1 == d2
+    assert exactla.smith_normal_form(A) == exactla.smith_normal_form(A)
 
 
 def test_snf_random_500():
     rng = random.Random(20240901)
     for _ in range(500):
         A = random_matrix(rng)
-        snf = check_snf(A)
+        _, diag, _ = check_snf(A)
         # Determinantal divisors: product of the first k diagonal entries
         # equals the gcd of all k x k minors.
-        diag = snf.D.diagonal()
         prod = 1
-        for k in range(1, min(A.rows, A.cols) + 1):
+        for k in range(1, len(diag) + 1):
             prod *= diag[k - 1]
             assert abs(prod) == minor_gcd(A, k)
 
 
 def test_integer_rank_examples():
-    assert exactla.integer_rank(IntMatrix.from_rows([[1, 2], [2, 4]])) == 1
-    assert exactla.integer_rank(IntMatrix.zero(0, 4)) == 0
-    assert exactla.integer_rank(IntMatrix.identity(4)) == 4
+    assert exactla.integer_rank([[1, 2], [2, 4]]) == 1
+    assert exactla.integer_rank([]) == 0
+    assert exactla.integer_rank(identity(4)) == 4
+    assert exactla.integer_rank(iter([(0, 0, 0), (1, 2, 3), (2, 4, 7)])) == 2
+
+
+def test_integer_rank_reads_no_row_after_full_column_rank():
+    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 0], [0, 0, 5], [7, 8, 9], [1, 1, 1]]
+    it = iter(rows)
+    assert exactla.integer_rank(it) == 3
+    assert list(it) == rows[4:]
+    # Below full column rank every row is read.
+    it = iter(rows[:3] + [[1, 3, 3]])
+    assert exactla.integer_rank(it) == 2
+    assert list(it) == []
+
+
+def test_ragged_rows_raise_domain_error():
+    for rows in ([[1, 2], [3]], [[1], [2, 3]], [[0, 0], [1, 2, 3]]):
+        with pytest.raises(DomainError):
+            exactla.smith_normal_form(rows)
+    for rows in ([[1, 2], [3]], [[0, 0], [1, 2, 3]], iter([(1, 0, 0), (0, 1)])):
+        with pytest.raises(DomainError):
+            exactla.integer_rank(rows)
 
 
 def leibniz(rows):
@@ -123,7 +156,7 @@ def test_determinant_sign_matches_leibniz():
             swapped_both += 1
         expected = leibniz(rows)
         singular += expected == 0
-        assert exactla.determinant(IntMatrix.from_rows(rows)) == expected, rows
+        assert determinant(rows) == expected, rows
     assert singular >= 50 and swapped_both >= 30
 
 
@@ -133,12 +166,12 @@ def test_bareiss_minor_on_pivot_rows_and_columns():
     rng = random.Random(22)
     for _ in range(100):
         A = random_matrix(rng, max_dim=4, lo=-3, hi=3)
-        rank, minor = exactla.bareiss(A.row_list(), lambda a, b: a // b, lambda e: abs(e) or None)
+        rank, minor = exactla.bareiss([r[:] for r in A], floordiv, lambda e: abs(e) or None)
         assert rank == exactla.integer_rank(A)
         subs = {
-            leibniz([[A[i, j] for j in cols] for i in rows])
-            for rows in combinations(range(A.rows), rank)
-            for cols in combinations(range(A.cols), rank)
+            leibniz([[A[i][j] for j in cols] for i in rows])
+            for rows in combinations(range(len(A)), rank)
+            for cols in combinations(range(len(A[0])), rank)
         }
         assert minor != 0 and minor in subs
 
@@ -169,10 +202,10 @@ def _saturate_reference(L):
     """QL meet Z^n as the double integer kernel ker(ker(B)^T), B the basis."""
     if not L.basis:
         return L
-    K = exactla.kernel_basis(IntMatrix.from_rows(L.basis))
+    K = kernel_basis(L.basis)
     if not K:
-        return lattice_from_generators(L.ambient, IntMatrix.identity(L.ambient).row_list())
-    return lattice_from_generators(L.ambient, exactla.kernel_basis(IntMatrix.from_rows(K)))
+        return lattice_from_generators(L.ambient, identity(L.ambient))
+    return lattice_from_generators(L.ambient, kernel_basis(K))
 
 
 def test_saturate_matches_double_kernel():
@@ -291,20 +324,40 @@ def test_kernel_is_saturated_annihilator():
     for _ in range(50):
         n = rng.randint(1, 4)
         k = rng.randint(1, n)
-        A = IntMatrix.from_rows(
-            [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
-        )
-        ker = exactla.kernel_basis(A)
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        ker = kernel_basis(A)
         for v in ker:
             for i in range(k):
-                assert sum(A[i, j] * v[j] for j in range(n)) == 0
+                assert sum(A[i][j] * v[j] for j in range(n)) == 0
         assert len(ker) == n - exactla.integer_rank(A)
+        # Saturated: the maximal minors of the kernel basis are coprime.
+        if ker:
+            assert minor_gcd(ker, len(ker)) == 1
 
 
 def test_solve_integer():
-    P = IntMatrix.from_rows([[2, 0], [0, 3]])
-    Q = IntMatrix.from_rows([[4], [9]])
+    P = [[2, 0], [0, 3]]
+    Q = [[4], [9]]
     X = exactla.solve_integer(P, Q)
-    assert P.mul(X).entries == Q.entries
-    Q2 = IntMatrix.from_rows([[3], [9]])
-    assert exactla.solve_integer(P, Q2) is None
+    assert matmul(P, X) == Q
+    assert exactla.solve_integer(P, [[3], [9]]) is None
+
+
+def test_solve_integer_random():
+    """Q = P X is solved by an X' with P X' = Q; after one entry of Q
+    moves by 1, any answer given still solves it."""
+    rng = random.Random(1872)
+    unsolved = 0
+    for _ in range(300):
+        r, c, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)
+        P = [[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)]
+        Q = matmul(P, [[rng.randint(-5, 5) for _ in range(k)] for _ in range(c)])
+        X = exactla.solve_integer(P, Q)
+        assert X is not None and len(X) == c and matmul(P, X) == Q, (P, Q)
+        Q[rng.randrange(r)][rng.randrange(k)] += rng.choice((-1, 1))
+        X = exactla.solve_integer(P, Q)
+        if X is None:
+            unsolved += 1
+        else:
+            assert matmul(P, X) == Q, (P, Q)
+    assert 50 <= unsolved <= 250, unsolved

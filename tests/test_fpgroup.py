@@ -136,9 +136,7 @@ def test_images_generate():
             continue
         from alexlab import exactla
 
-        M = exactla.IntMatrix.from_rows(ab.images)
-        snf = exactla.smith_normal_form(M)
-        diag = snf.D.diagonal()
+        _, diag, _ = exactla.smith_normal_form(ab.images)
         assert sum(1 for d in diag if d == 1) == ab.b1
 
 
@@ -170,7 +168,7 @@ def test_fox_b1_zero_flagged():
     F = fox_matrix(parse_presentation("gens x\nrel x^2\n"))
     assert F.nvars == 0
     assert F.warnings
-    assert F.entries[0][0].constant_value() == 2
+    assert F.entries[0][0] == LaurentPoly.constant(0, 2)
 
 
 def test_fox_identity_on_corpus():

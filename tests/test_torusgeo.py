@@ -7,8 +7,8 @@ import pytest
 
 from alexlab import exactla
 from alexlab.errors import DomainError
-from alexlab.exactla import IntMatrix
 from alexlab.torusgeo import intersect, make_torus
+from test_exactla import kernel_basis
 
 
 # -- construction ---------------------------------------------------------------
@@ -84,13 +84,13 @@ def _dual_dim(t1, t2) -> int:
     def kernel(t):
         if not t.equations.basis:
             return [tuple(1 if i == j else 0 for j in range(t.ambient)) for i in range(t.ambient)]
-        return exactla.kernel_basis(IntMatrix.from_rows(t.equations.basis))
+        return kernel_basis(t.equations.basis)
 
     k1, k2 = kernel(t1), kernel(t2)
     r1 = len(k1)
     r2 = len(k2)
     stacked = k1 + k2
-    rs = exactla.integer_rank(IntMatrix.from_rows(stacked)) if stacked else 0
+    rs = exactla.integer_rank(stacked)
     return r1 + r2 - rs
 
 
@@ -101,12 +101,11 @@ def _snf_solvable(t1, t2) -> bool:
     cs = [sum(Fraction(u) * x for u, x in zip(row, t.translate)) for t, rows_ in ((t1, t1.equations.basis), (t2, t2.equations.basis)) for row in rows_]
     if not rows:
         return True
-    B = IntMatrix.from_rows(rows)
-    snf = exactla.smith_normal_form(B)
-    rank = sum(1 for d in snf.D.diagonal() if d)
+    U, diag, _ = exactla.smith_normal_form(rows)
+    rank = sum(1 for d in diag if d)
     for i in range(len(rows)):
         if i >= rank:
-            v = sum(Fraction(snf.U[i, j]) * cs[j] for j in range(len(rows)))
+            v = sum(Fraction(U[i][j]) * cs[j] for j in range(len(rows)))
             if v % 1 != 0:
                 return False
     return True
@@ -117,7 +116,7 @@ def _torsion_points_of_coset(t, L):
     if not t.equations.basis:
         kernel = [tuple(1 if i == j else 0 for j in range(t.ambient)) for i in range(t.ambient)]
     else:
-        kernel = exactla.kernel_basis(IntMatrix.from_rows(t.equations.basis))
+        kernel = kernel_basis(t.equations.basis)
     d = len(kernel)
     for sigma in iproduct(range(L), repeat=d):
         w = list(t.translate)
@@ -157,7 +156,7 @@ def test_random_pairs_dimension_and_nonemptiness():
         rows = list(t1.equations.basis) + list(t2.equations.basis)
         divisors = []
         if rows:
-            divisors = [d for d in exactla.smith_normal_form(IntMatrix.from_rows(rows)).D.diagonal() if d]
+            divisors = [d for d in exactla.smith_normal_form(rows)[1] if d]
         m_all = 1
         for x in t1.translate + t2.translate:
             m_all = m_all * x.denominator // gcd(m_all, x.denominator)
