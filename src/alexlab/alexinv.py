@@ -415,10 +415,17 @@ def _character_rank(b: _Block, rho: CharacterPoint) -> int:
     rank at zeta_m is r plus the rank of that complement there: the
     elimination goes on exactly while some remaining entry is nonzero at
     zeta_m, and stops at the rank.
+
+    A block with at most one row or column has rank 1 exactly when some
+    entry is nonzero at zeta_m, so it is read off entry by entry, up to the
+    first nonzero residue, with no lift and no elimination.
     """
     m, nums = rho.order, rho.numerators
-    phi = laurent.euler_phi(m)
     residue = laurent._cyclotomic_residue
+    if len(b.rows) <= 1 or len(b.cols) <= 1:
+        entries = (b.entries[i][j] for i in b.rows for j in b.cols)
+        return int(any(not e.is_zero() and any(residue(e, nums, m)) for e in entries))
+    phi = laurent.euler_phi(m)
 
     def size(e: LaurentPoly):
         key = _poly_size(e)

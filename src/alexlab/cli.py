@@ -5,16 +5,19 @@ limit exceeded, 3 invalid mathematical input, 4 internal error (any other
 exception, reported on one stderr line).  Every sub-command accepts --machine
 for a deterministic single-line JSON document; where a command returns a
 report dataclass, its `result` object uses that dataclass's field names.
+One encoder writes that line straight from the reports and polynomials,
+with no document tree built first; its bytes are those of json.dumps with
+sorted keys and compact separators.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import alexinv, builders, fpgroup, laurent, norms, obstruct, torusgeo
 from .errors import AlexlabError, LimitError, ParseError
@@ -83,29 +86,58 @@ def parse_torus_spec(text: str) -> torusgeo.TranslatedTorus:
     return torusgeo.make_torus(n, rows, translate)
 
 
-# -- document helpers ----------------------------------------------------------
+# -- the --machine encoder --------------------------------------------------------
 
 
-def _doc(value):
-    """JSON form of a result: a LaurentPoly is its `to_doc()`, any other
-    dataclass a dict keyed by its field names, a tuple or list a list, a
-    Fraction a string; anything else is already JSON."""
+def _fields(report) -> dict:
+    """A report dataclass as a dict of its fields by name, values as they are."""
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+
+
+def _poly_json(p: laurent.LaurentPoly) -> str:
+    """`p.to_doc()` as JSON text, terms ascending.  A univariate key is the
+    exponent itself, so only nvars 0 and two or more decode `terms`."""
+    if p.nvars == 1:
+        terms = ['{"c":%d,"e":[%d]}' % (c, k) for k, c in p._items]
+    else:
+        terms = ['{"c":%d,"e":[%s]}' % (c, ",".join(map(str, e))) for e, c in p.terms]
+    return '{"nvars":%d,"terms":[%s]}' % (p.nvars, ",".join(terms))
+
+
+def _json(value) -> str:
+    """Compact JSON text of a result, every dict's keys sorted, written
+    straight from the value: a dict (str keys), list or tuple, str, bool,
+    int or None as JSON writes it; a Fraction as its str; a LaurentPoly as
+    its `to_doc()`; any other dataclass as a dict of its fields."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        return "{%s}" % ",".join([_json_str(k) + ":" + _json(v) for k, v in sorted(value.items())])
+    if isinstance(value, (list, tuple)):
+        return "[%s]" % ",".join(map(_json, value))
     if isinstance(value, laurent.LaurentPoly):
-        return value.to_doc()
-    if dataclasses.is_dataclass(value):
-        return {f.name: _doc(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, (tuple, list)):
-        return [_doc(x) for x in value]
+        return _poly_json(value)
     if isinstance(value, Fraction):
-        return str(value)
-    return value
+        return _json_str(str(value))
+    if dataclasses.is_dataclass(value):
+        return _json(_fields(value))
+    raise TypeError("no JSON form for %s" % type(value).__name__)
 
 
-def _emit(doc: dict) -> str:
-    """The --machine form of a result: one line of sorted, compact JSON.
-    Each command builds its document only under --machine and its human
-    text only without it."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+def _emit(doc) -> str:
+    """The --machine form of a result: one line of `_json`, byte for byte
+    what json.dumps(.., sort_keys=True, separators=(",", ":")) gives for the
+    same document.  Each command builds its document only under --machine
+    and its human text only without it."""
+    return _json(doc) + "\n"
 
 
 def _first_order(p: fpgroup.GroupPresentation):
@@ -135,7 +167,7 @@ def _cmd_abelianize(args) -> str:
             {
                 "command": "abelianize",
                 "file": args.file,
-                "result": dict(_doc(ab), generators=list(p.generators)),
+                "result": dict(_fields(ab), generators=p.generators),
             }
         )
     lines = ["b1: %d" % ab.b1]
@@ -155,7 +187,7 @@ def _cmd_delta(args) -> str:
                 "command": "delta",
                 "file": args.file,
                 "k": args.k,
-                "result": {"delta": _doc(d), "text": text},
+                "result": {"delta": d, "text": text},
             }
         )
     return text + "\n"
@@ -169,7 +201,7 @@ def _cmd_thickness(args) -> str:
             {
                 "command": "thickness",
                 "file": args.file,
-                "result": {"k0": k0, "delta": _doc(delta), "thickness": th},
+                "result": {"k0": k0, "delta": delta, "thickness": th},
             }
         )
     return "%d\n" % th
@@ -184,8 +216,8 @@ def _cmd_norm(args) -> str:
             {
                 "command": "norm",
                 "file": args.file,
-                "phi": _doc(phi.phi),
-                "result": {"alexander_norm": value, "delta": _doc(delta)},
+                "phi": phi.phi,
+                "result": {"alexander_norm": value, "delta": delta},
             }
         )
     return "%d\n" % value
@@ -195,7 +227,7 @@ def _cmd_ball(args) -> str:
     _, delta = _first_order(_load_presentation(args.file))
     ball = norms.support_polytope(delta)
     if args.machine:
-        return _emit({"command": "ball", "file": args.file, "result": _doc(ball)})
+        return _emit({"command": "ball", "file": args.file, "result": ball})
     return "".join("(%s)\n" % ", ".join(str(x) for x in v) for v in ball.vertices)
 
 
@@ -208,9 +240,9 @@ def _cmd_cv(args) -> str:
             {
                 "command": "cv",
                 "file": args.file,
-                "rho": _doc(rho.rho),
+                "rho": rho.rho,
                 "k": args.k,
-                "result": dict(_doc(rep), order=rho.order),
+                "result": dict(_fields(rep), order=rho.order),
             }
         )
     lines = ["dim: %d" % rep.dim]
@@ -229,7 +261,7 @@ def _cmd_test(args) -> str:
                 "command": "test",
                 "file": args.file,
                 "kmax": args.kmax,
-                "result": _doc(rep),
+                "result": rep,
             }
         )
     return _report_human(rep)
@@ -242,20 +274,20 @@ def _cmd_sum(args) -> str:
         return _emit(
             {
                 "command": "sum",
-                "files": list(args.files),
+                "files": args.files,
                 "kmax": args.kmax,
                 "result": {
-                    "factors": _doc(rep.factors),
+                    "factors": rep.factors,
                     "product": {
                         "presentation": fpgroup.serialize_presentation(rep.product),
                         "b1": rep.product_b1,
                         "k0": rep.product_k0,
-                        "delta": _doc(rep.product_delta),
+                        "delta": rep.product_delta,
                         "thickness": rep.product_thickness,
                     },
                     "thickness_additive": rep.thickness_additive,
                     "delta_divisible": rep.delta_divisible,
-                    "qp": _doc(rep.qp),
+                    "qp": rep.qp,
                 },
             }
         )
@@ -287,7 +319,7 @@ def _cmd_tori(args) -> str:
                 "command": "tori.intersect",
                 "t1": args.t1,
                 "t2": args.t2,
-                "result": _doc(rep),
+                "result": rep,
             }
         )
     lines = ["meets: %s" % ("yes" if rep.meets else "no")]
@@ -336,10 +368,10 @@ def _cmd_mcmullen(args) -> str:
                 "file": args.file,
                 "data": args.data,
                 "result": {
-                    "delta": _doc(delta),
+                    "delta": delta,
                     "entries": [
                         {
-                            "phi": _doc(e.datum.phi.phi),
+                            "phi": e.datum.phi.phi,
                             "thurston": e.datum.thurston,
                             "fibered": e.datum.fibered,
                             "alexander": e.alexander,

@@ -548,6 +548,81 @@ def test_reduction_matches_whole_matrix_on_random_presentations(p):
         _assert_reduction_matches_reference(F, p)
 
 
+# -- thin blocks at a character ---------------------------------------------------
+
+THIN_ORDERS = (5, 7, 60, 210, 600)
+_BAREISS = exactla.bareiss
+
+
+def _bareiss_character_rank(b, rho) -> int:
+    """`_character_rank` by its lift-and-`bareiss` path alone, for any shape."""
+    m, nums = rho.order, rho.numerators
+    phi, residue = laurent.euler_phi(m), laurent._cyclotomic_residue
+
+    def size(e):
+        key = alexinv._poly_size(e)
+        if key and key[0] >= phi and not any(residue(e, (1,), m)):
+            return None
+        return key
+
+    lifts = [
+        [laurent._from_dense(residue(b.entries[i][j], nums, m)) for j in b.cols] for i in b.rows
+    ]
+    return _BAREISS(lifts, alexinv._exact_div, size)[0]
+
+
+def _thin_numerator(m, draw_from):
+    """A numerator for denominator m: a multiple of m/d for a divisor
+    d <= 12 of m (where the Phi_d factors of Fox entries vanish), or any."""
+    d = draw_from([d for d in range(1, 13) if m % d == 0] + [m])
+    return m // d * draw_from(range(d))
+
+
+def _check_thin_ranks(F, nums, m, monkeypatch) -> list[tuple[int, int]]:
+    """Assert that every block of F's reduction with at most one row or
+    column, and F itself when that thin, has the bareiss path's rank at the
+    character nums/m, with no `bareiss` call; (rank, rows) of each."""
+    rho = CharacterPoint(tuple(Fraction(a, m) for a in nums))
+    if rho.is_trivial():
+        return []
+    blocks = [b for b in alexinv.reduction(F).blocks if min(len(b.rows), len(b.cols)) <= 1]
+    if min(F.rows, F.cols) <= 1:
+        blocks.append(alexinv._Block(F.entries, F.nvars, tuple(range(F.rows)), tuple(range(F.cols))))
+    seen = []
+    for b in blocks:
+        monkeypatch.setattr(exactla, "bareiss", None)  # any call fails
+        rank = alexinv._character_rank(b, rho)
+        monkeypatch.undo()
+        assert rank == _bareiss_character_rank(b, rho), (F, rho, b.rows, b.cols)
+        seen.append((rank, len(b.rows)))
+    return seen
+
+
+def test_thin_block_character_rank_matches_bareiss_on_corpus(monkeypatch):
+    # Rank 0 (every entry vanishes at the character, or no rows) must turn
+    # up as well as rank 1.
+    rng = random.Random(600)
+    groups = [e.presentation for e in ALL]
+    groups += [free_product(a.presentation, b.presentation) for a, b in SUM_PAIRS]
+    seen = []
+    for p in groups:
+        F = fox_matrix(p)
+        for m in THIN_ORDERS:
+            for _ in range(3 * bool(F.nvars)):
+                nums = [_thin_numerator(m, rng.choice) for _ in range(F.nvars)]
+                seen += _check_thin_ranks(F, nums, m, monkeypatch)
+    assert min(seen.count((1, 1)), seen.count((0, 1)), seen.count((0, 0))) >= 10, seen
+
+
+@settings(max_examples=100, deadline=None)
+@given(_presentations(), st.sampled_from(THIN_ORDERS), st.data())
+def test_thin_block_character_rank_matches_bareiss_on_random_presentations(p, m, data):
+    F = fox_matrix(p)
+    nums = [_thin_numerator(m, lambda xs: data.draw(st.sampled_from(xs))) for _ in range(F.nvars)]
+    with pytest.MonkeyPatch.context() as mp:
+        _check_thin_ranks(F, nums, m, mp)
+
+
 def test_reduction_blocks_and_pivots():
     # fig8*fig8: one unit pivot per factor, each leaving a 1x1 block and a
     # generator in no relator (a 0-row block: k0 = 1, Delta = 1).

@@ -1,13 +1,16 @@
 import contextlib
+import dataclasses
 import io
 import json
+import pathlib
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from alexlab import cli, fpgroup, laurent
+from alexlab import alexinv, cli, fpgroup, laurent, norms, obstruct, torusgeo
 from alexlab.errors import ParseError
 
 TREFOIL_FP = "gens a b\nrel a^2 b^-3\n"
@@ -269,6 +272,8 @@ THURSTON_DAT = (
     "phi 0 1 thurston 0 fibered 0\n"
 )
 
+ESCAPED_NAME = 'tr\u00e9foil \U0001d54b "q" \\ \u2603.fp'
+
 # `.json` goldens are --machine documents, `.txt` goldens human output.
 GOLDENS = {
     "delta_trefoil.json": ["delta", "trefoil.fp", "--k", "1", "--machine"],
@@ -298,13 +303,17 @@ GOLDENS = {
     "sum_sol_rp3.txt": ["sum", "solbundle.fp", "rp3.fp"],
     "mcmullen_whitehead.txt": ["mcmullen", "wh.fp", "--data", "thurston.dat"],
     "abelianize_trefoil.txt": ["abelianize", "trefoil.fp"],
+    # A 300-term univariate Delta, a multivariate one with b1 = 3, and a
+    # file name that needs JSON escaping (non-ASCII, astral, quote, backslash).
+    "delta_long_syllables.json": ["delta", "long.fp", "--k", "1", "--machine"],
+    "thickness_three_trefoils.json": ["thickness", "three_trefoils.fp", "--machine"],
+    "cv_escaped_name.json": ["cv", ESCAPED_NAME, "--rho", "1/6", "--machine"],
 }
 
 
-@pytest.mark.parametrize("golden", sorted(GOLDENS))
-def test_machine_goldens_byte_equal(capsys, tmp_path, monkeypatch, golden):
-    import pathlib
-
+@pytest.fixture
+def golden_inputs(tmp_path, monkeypatch):
+    """Every input file of `GOLDENS`, in a fresh working directory."""
     from corpus import WHITEHEAD
 
     (tmp_path / "trefoil.fp").write_text(TREFOIL_FP)
@@ -312,11 +321,128 @@ def test_machine_goldens_byte_equal(capsys, tmp_path, monkeypatch, golden):
     (tmp_path / "rp3.fp").write_text("gens x\nrel x^2\n")
     (tmp_path / "wh.fp").write_text(fpgroup.serialize_presentation(WHITEHEAD.presentation))
     (tmp_path / "thurston.dat").write_text(THURSTON_DAT)
+    (tmp_path / "long.fp").write_text("gens a b\nrel a^300 b^-300\n")
+    (tmp_path / "three_trefoils.fp").write_text(
+        "gens a b c d e f\nrel a^2 b^-3\nrel c^2 d^-3\nrel e^2 f^-3\n"
+    )
+    (tmp_path / ESCAPED_NAME).write_text(TREFOIL_FP)
     monkeypatch.chdir(tmp_path)
+
+
+def _golden(name: str) -> str:
+    return (pathlib.Path(__file__).parent / "goldens" / name).read_text()
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDENS))
+def test_machine_goldens_byte_equal(capsys, golden_inputs, golden):
     code, out, err = run_cli(capsys, *GOLDENS[golden])
     assert code == 0
-    expected = (pathlib.Path(__file__).parent / "goldens" / golden).read_text()
-    assert out == expected
+    assert out == _golden(golden)
+
+
+def test_machine_goldens_build_no_document_tree(capsys, golden_inputs, monkeypatch):
+    # --machine text is written straight from the reports: neither a
+    # polynomial's `to_doc` nor `json.dumps` is called on the way.
+    def refuse(*args, **kwargs):
+        raise AssertionError("document tree built")
+
+    monkeypatch.setattr(laurent.LaurentPoly, "to_doc", refuse)
+    monkeypatch.setattr(json, "dumps", refuse)
+    for golden in sorted(g for g in GOLDENS if g.endswith(".json")):
+        code, out, err = run_cli(capsys, *GOLDENS[golden])
+        assert (code, out, err) == (0, _golden(golden), ""), golden
+
+
+# -- the --machine encoder against json.dumps ---------------------------------------
+
+
+def _reference_doc(value):
+    """The document of a result as `cli._doc` built it before the direct
+    encoder: a LaurentPoly is its `to_doc()`, any other dataclass a dict of
+    its fields, a tuple or list a list, a Fraction its str; dicts, which the
+    commands built around `_doc`'s results, are walked as well."""
+    if isinstance(value, laurent.LaurentPoly):
+        return value.to_doc()
+    if dataclasses.is_dataclass(value):
+        return {f.name: _reference_doc(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {k: _reference_doc(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_reference_doc(x) for x in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    return value
+
+
+# Control characters, quotes and backslashes (Po), lone surrogates (Cs),
+# astral and other non-ASCII letters and symbols, besides plain text.
+_TEXT = st.one_of(st.text(), st.text(st.characters(categories=["Cc", "Cs", "Po", "Lo", "So"])))
+_INTS = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(min_value=-(2**200), max_value=-(2**64)),
+)
+
+
+@st.composite
+def _polys(draw):
+    """LaurentPoly in 0..4 variables: zero, constants, signed coefficients;
+    univariate exponents of any size, multivariate ones within the key range."""
+    n = draw(st.integers(0, 4))
+    bound = 2**40 if n == 1 else 2**30
+    exps = st.tuples(*[st.integers(-bound, bound)] * n)
+    coeffs = st.one_of(st.integers(-3, 3), _INTS)
+    return laurent.LaurentPoly(n, draw(st.lists(st.tuples(exps, coeffs), max_size=6)))
+
+
+_REPORTS = (
+    obstruct.PerKFinding,
+    obstruct.ObstructionReport,
+    obstruct.FactorSummary,
+    alexinv.CvReport,
+    norms.NormBall,
+    norms.CohomologyClass,
+    torusgeo.IntersectionReport,
+    fpgroup.AbelianizationData,
+)
+
+
+def _reports(children):
+    """Report dataclasses, each field a subtree."""
+    return st.one_of(
+        [st.builds(cls, *[children] * len(dataclasses.fields(cls))) for cls in _REPORTS]
+    )
+
+
+_LEAVES = st.one_of(
+    _TEXT, _INTS, st.booleans(), st.none(), st.fractions(), _polys(),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+        _reports(children),
+    ),
+    max_leaves=15,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TREES)
+@example({"b": True, "a": [False, None], "\u00e9\"\\": 1})
+@example(laurent.LaurentPoly(0, [((), -5)]))
+@example(laurent.LaurentPoly(2, [((3, -1), 2), ((0, 7), -1)]))
+def test_emit_matches_json_dumps_of_the_reference_document(value):
+    want = json.dumps(_reference_doc(value), sort_keys=True, separators=(",", ":")) + "\n"
+    assert cli._emit(value) == want
+
+
+def test_emit_refuses_what_json_cannot_write():
+    for value in (1.5, object(), {1: 2}, {"a": {3, 4}}):
+        with pytest.raises(TypeError):
+            cli._emit(value)
 
 
 def test_limit_exit_code(capsys, trefoil_file, monkeypatch):

@@ -174,17 +174,15 @@ def _cyclo_free(n):
 
 def _delta_render(e):
     """The `delta --machine` rendering of the e-term Delta of a^e b^-e: its
-    text and the JSON of its terms, after Delta is computed."""
+    text and the JSON of its terms, by the CLI's encoder, after Delta is
+    computed."""
 
     def build(ax):
+        from alexlab import cli
+
         p = ax.fpgroup.parse_presentation("gens a b\nrel a^%d b^-%d\n" % (e, e))
         d = ax.alexinv.order_k(ax.fpgroup.fox_matrix(p), 1)
-
-        def body():
-            doc = {"delta": d.to_doc(), "text": d.text()}
-            return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-        return body
+        return lambda: cli._json({"delta": d, "text": d.text()})
 
     return build
 
