@@ -15,7 +15,6 @@ from .exactla import (
     smith_normal_form,
 )
 from .laurent import (
-    CycloElement,
     CyclotomicDecomposition,
     LaurentPoly,
     UnivariateForm,
@@ -77,7 +76,6 @@ __all__ = [
     "lattice_from_generators",
     "saturate",
     "smith_normal_form",
-    "CycloElement",
     "CyclotomicDecomposition",
     "LaurentPoly",
     "UnivariateForm",

@@ -10,16 +10,16 @@ positive coefficient on the lexicographically largest exponent) so that
 Each polynomial stores its terms once, as (key, coefficient) pairs sorted by
 key, where the key of an exponent vector e is k(e) = sum e_i * 2^(32(n-1-i)),
 signed digits, first variable most significant.  The map is Z-linear, so a
-product's keys are sums of keys and a shift adds one key; and while every
-|e_i| < 2^31, k is injective and integer order on keys is lex order on
-exponent vectors.  A univariate key is the exponent itself (no bound), a
-constant's key is 0.  With two or more variables every polynomial carries a
-bound on its |e_i| that adds under products and shifts.  When that sum
-reaches 2^31, the operands' per-variable exponent ranges are added instead,
-and only a result exponent of magnitude 2^31 or more raises LimitError
-rather than wrapping.  Products,
-sums, `canonical`, exact division and the gcd work on keys alone; exponent
-tuples are decoded only at the edges (`terms`, text, documents, supports).
+product's keys are sums of keys and a monomial factor adds one key; and
+while every |e_i| < 2^31, k is injective and integer order on keys is lex
+order on exponent vectors.  A univariate key is the exponent itself (no
+bound), a constant's key is 0.  With two or more variables every
+polynomial carries a bound on its |e_i| that adds under products.  When
+that sum reaches 2^31, the operands' per-variable exponent ranges are added
+instead, and only a result exponent of magnitude 2^31 or more raises
+LimitError rather than wrapping.  Products, sums, `canonical`, exact
+division and the gcd work on keys alone; exponent tuples are decoded only
+at the edges (`terms`, text, documents, supports).
 
 Exact division takes the leading remainder term from a heap of keys, on
 both operands shifted to min exponent 0, where a digit is a mask and a
@@ -30,14 +30,15 @@ candidate passes and raises LimitError once they pass a cap.  The number of
 variables is capped (default 6, override with the ALEXLAB_MAX_VARS
 environment variable).
 
-Univariate cyclotomic work (Phi_d, cyclotomic decomposition, the rings
-Z[zeta_m] of values at torsion characters) runs on dense coefficient
-lists, constant term first, with one product and one division by a monic
-divisor, so integers stay integers; Phi_d itself is a Moebius product of
-binomials 1 - t^k, one linear pass each.  Nothing here divides in a
-cyclotomic field.  The cyclotomic decomposition sieves its trial divisors
-on packed integers first (t -> 2^16 is a ring map Z[t] -> Z) and divides
-exactly only by the Phi_d that pass.
+Univariate cyclotomic work (Phi_d, cyclotomic decomposition, values at
+torsion characters) runs on dense coefficient lists, constant term first,
+with one division by a monic divisor, so integers stay integers; Phi_d
+itself is a Moebius product of binomials 1 - t^k, one linear pass each.
+The value at a character of order m is a residue mod Phi_m, the tuple of
+its integer coefficients on 1, zeta_m, .., zeta_m^(phi(m)-1).  Nothing
+here divides in a cyclotomic field.  The cyclotomic decomposition sieves
+its trial divisors on packed integers first (t -> 2^16 is a ring map
+Z[t] -> Z) and divides exactly only by the Phi_d that pass.
 """
 
 from __future__ import annotations
@@ -100,11 +101,6 @@ def _tuple_bound(nvars: int, vectors) -> int:
     return _check_bound(max(map(abs, chain.from_iterable(vectors)), default=0))
 
 
-def _check_ints(e, c) -> None:
-    if not (isinstance(c, int) and all(isinstance(x, int) for x in e)):
-        raise DomainError("exponents and coefficients must be integers, got %r, %r" % (e, c))
-
-
 def _ranges(items, n: int) -> tuple[list[int], list[int]]:
     """Per-variable minimum and maximum exponent of nonzero `items`.  The
     first variable's come from the first and last keys (a univariate key is
@@ -163,7 +159,10 @@ class LaurentPoly:
         for e, c in terms:
             if len(e) != nvars:
                 raise DomainError("exponent vector length does not match nvars")
-            _check_ints(e, c)
+            if not (isinstance(c, int) and all(isinstance(x, int) for x in e)):
+                raise DomainError(
+                    "exponents and coefficients must be integers, got %r, %r" % (e, c)
+                )
             k = _key(e)
             acc[k] = get(k, 0) + c
         # Over every given vector, dropped ones too: past the bound two
@@ -219,13 +218,7 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, nvars: int, exps, c: int = 1) -> "LaurentPoly":
-        exps = tuple(exps)
-        if len(exps) != nvars:
-            raise DomainError("exponent vector length does not match nvars")
-        _check_ints(exps, c)
-        if c == 0:
-            return cls.zero(nvars)
-        return _poly(nvars, ((_key(exps), c),), _tuple_bound(nvars, (exps,)))
+        return cls(nvars, [(tuple(exps), c)])
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "LaurentPoly":
@@ -375,19 +368,6 @@ class LaurentPoly:
             return LaurentPoly.zero(self.nvars)
         items = tuple((k, c * x) for k, x in self._items)
         return _poly(self.nvars, items, self._bound, self._canon and c > 0, self._span)
-
-    def shift(self, by) -> "LaurentPoly":
-        """Multiply by the monomial with exponent vector `by`."""
-        by = tuple(by)
-        bound = self._bound
-        if self.nvars > 1 and self._items:
-            bound += max(map(abs, by))
-            if bound >= _HALF:
-                lo, hi = _span(self)
-                bound = max(max(map(add, hi, by)), -min(map(add, lo, by)))
-            _check_bound(bound)
-        kb = _key(by)
-        return _poly(self.nvars, tuple((k + kb, c) for k, c in self._items), bound)
 
     # -- normalization ---------------------------------------------------
 
@@ -862,16 +842,6 @@ def _small_phi(limit):
                 q, f = q * p, f * p
 
 
-def _mul(a, b) -> list:
-    """Product of two dense coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
-
-
 def _divmod(a, b) -> tuple[list, list]:
     """Quotient and remainder of a by a monic b, the remainder padded to
     deg b coefficients."""
@@ -1023,61 +993,6 @@ def cyclotomic_decompose(p: LaurentPoly) -> CyclotomicDecomposition:
 # -- evaluation at torsion characters ----------------------------------------
 
 
-@dataclass(frozen=True)
-class CycloElement:
-    """An element of the ring Z[zeta_m], reduced modulo Phi_m: its integer
-    coefficients on 1, zeta, .., zeta^(phi(m)-1)."""
-
-    order: int
-    coeffs: tuple
-
-    @classmethod
-    def from_poly(cls, order: int, coeffs) -> "CycloElement":
-        return cls(order, tuple(_divmod(coeffs, _cyclotomic_coeffs(order))[1]))
-
-    @classmethod
-    def from_int(cls, order: int, c) -> "CycloElement":
-        return cls.from_poly(order, [c])
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def _lift(self, other):
-        if isinstance(other, CycloElement):
-            if other.order != self.order:
-                raise DomainError("cyclotomic orders differ")
-            return other
-        return CycloElement.from_int(self.order, other)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return CycloElement(self.order, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + -self._lift(other)
-
-    def __rsub__(self, other):
-        return self._lift(other) - self
-
-    def __neg__(self):
-        return CycloElement(self.order, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return CycloElement.from_poly(self.order, _mul(self.coeffs, o.coeffs))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = CycloElement.from_int(self.order, other)
-        if not isinstance(other, CycloElement):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-
 def character_order(rho) -> int:
     m = 1
     for x in rho:
@@ -1101,14 +1016,15 @@ def _cyclotomic_residue(p: LaurentPoly, nums, m: int) -> list[int]:
     return _divmod(coeffs, _cyclotomic_coeffs(m))[1]
 
 
-def evaluate_at_character(p: LaurentPoly, rho) -> CycloElement:
-    """Exact value of p at the torsion character exp(2*pi*i*rho), as an
-    element of Z[zeta_m], m the character's order."""
+def evaluate_at_character(p: LaurentPoly, rho) -> tuple[int, ...]:
+    """Exact value of p at the torsion character exp(2*pi*i*rho): its
+    coefficients on 1, zeta, .., zeta^(phi(m)-1) in Z[zeta_m], m =
+    `character_order(rho)`."""
     rho = [Fraction(x) for x in rho]
     if len(rho) != p.nvars:
         raise DomainError("character length does not match variable count")
     m = character_order(rho)
-    return CycloElement(m, tuple(_cyclotomic_residue(p, _character_numerators(rho, m), m)))
+    return tuple(_cyclotomic_residue(p, _character_numerators(rho, m), m))
 
 
 # -- misc helpers used by higher layers --------------------------------------

@@ -793,8 +793,13 @@ FUZZ_WORDS = [
 
 
 @pytest.fixture(scope="module")
-def fuzz_file(tmp_path_factory):
-    f = tmp_path_factory.mktemp("fuzz") / "trefoil.fp"
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(fuzz_dir):
+    f = fuzz_dir / "trefoil.fp"
     f.write_text(TREFOIL_FP)
     return str(f)
 
@@ -819,6 +824,68 @@ def test_random_argv_keeps_the_exit_code_contract(fuzz_file, head, words):
         assert "Traceback" not in err.getvalue()
     else:
         assert err.getvalue() == ""
+
+
+# -- the exit-code contract under spoiled .fp files -----------------------------
+
+FP_ARGVS = (
+    (["delta"], ["--k", "1"]), (["thickness"], []), (["test", "qp"], []),
+    (["abelianize"], []), (["ball"], []), (["cv"], ["--rho", "1/6"]),
+)
+# Bytes that are no UTF-8 (a lone continuation, a cut sequence, an encoded
+# surrogate) and the NUL, which is UTF-8 but no .fp text.
+BAD_BYTES = (b"\x00", b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"a\x00b")
+
+
+@st.composite
+def spoiled_fp(draw):
+    """(bytes, how): a small .fp file (at most 3 generators and 3 relators,
+    |exponent| <= 3) truncated at a random byte, with bad bytes inserted, or
+    with one token past the letter budget added."""
+    names = "abc"[: draw(st.integers(1, 3))]
+    token = st.builds(
+        lambda g, e: g if e == 1 else "%s^%d" % (g, e),
+        st.sampled_from(names), st.sampled_from((-3, -2, -1, 1, 2, 3)),
+    )
+    rels = draw(st.lists(st.lists(token, min_size=1, max_size=4), max_size=3))
+    lines = ["gens " + " ".join(names)] + ["rel " + " ".join(r) for r in rels]
+    how = draw(st.sampled_from(("truncate", "bytes", "huge")))
+    if how == "huge":
+        e = draw(st.integers(fpgroup.DEFAULT_MAX_LETTERS + 1, 10**40)) * draw(st.sampled_from((1, -1)))
+        at = draw(st.integers(1, len(lines)))
+        lines.insert(at, "rel %s^%d" % (draw(st.sampled_from(names)), e))
+    data = ("\n".join(lines) + "\n").encode()
+    if how == "truncate":
+        data = data[: draw(st.integers(0, len(data)))]
+    elif how == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(BAD_BYTES)) + data[at:]
+    return data, how
+
+
+@settings(max_examples=60, deadline=None)
+@given(spoiled_fp())
+@example((b"gens a b\nrel a^2 b^-3 a^1000001\n", "huge"))
+@example((b"gens a\x00 b\nrel a^2 b^-3\n", "bytes"))
+@example((b"gens a b\nrel a^2 b^\xff-3\n", "bytes"))
+@example((b"gens a b\nrel a^2 b^", "truncate"))
+def test_spoiled_fp_keeps_the_exit_code_contract(fuzz_dir, case):
+    data, how = case
+    path = fuzz_dir / "spoiled.fp"
+    path.write_bytes(data)
+    for head, opts in FP_ARGVS:
+        argv = head + [str(path)] + opts
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        assert code in (0, 1, 2, 3), (argv, data, err.getvalue())
+        if how == "huge" and head != ["abelianize"]:
+            assert code == 2, (argv, data, err.getvalue())  # the letter budget
+        if code:
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
+            assert "Traceback" not in err.getvalue()
+        else:
+            assert err.getvalue() == ""
 
 
 def test_module_entry_point(capsys, trefoil_file):
