@@ -19,53 +19,40 @@ the UFD Z[H].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 
 from . import exactla, laurent
+from ._value import Value
 from .errors import DomainError, LimitError
 from .fpgroup import FoxMatrix
 from .laurent import LaurentPoly
 
 
-@dataclass(frozen=True)
-class OrderSequence:
+class OrderSequence(Value):
     """Delta^0 .. Delta^kmax plus k0, the first index with Delta^k != 0."""
 
-    kmax: int
-    orders: tuple[LaurentPoly, ...]
-    k0: int
+    __slots__ = _fields = ("kmax", "orders", "k0")
 
 
-@dataclass(frozen=True)
-class CharacterPoint:
+class CharacterPoint(Value):
     """A torsion character of H = Z^b1: rationals mod 1, one per variable.
     Its order m and its numerators a_i = m rho_i are computed once per
-    point."""
+    point, when it is built."""
 
-    rho: tuple[Fraction, ...]
+    _fields = ("rho",)
+    __slots__ = _fields + ("order", "numerators")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "rho", tuple(Fraction(x) % 1 for x in self.rho)
-        )
-
-    @cached_property
-    def order(self) -> int:
-        return laurent.character_order(self.rho)
-
-    @cached_property
-    def numerators(self) -> tuple[int, ...]:
-        return laurent._character_numerators(self.rho, self.order)
+    def __init__(self, rho):
+        rho = tuple(Fraction(x) % 1 for x in rho)
+        m = laurent.character_order(rho)
+        Value.__init__(self, rho, m, laurent._character_numerators(rho, m))
 
     def is_trivial(self) -> bool:
         return all(x == 0 for x in self.rho)
 
 
-@dataclass(frozen=True)
-class CvReport:
+class CvReport(Value):
     """dim H_1 with coefficients twisted by the character, plus membership
     flags for the jump loci V_k, k = 1..len(memberships).
 
@@ -73,8 +60,7 @@ class CvReport:
     Each membership flag is read off as dim >= k, which is exact: all
     (s-k)-minors of the evaluated matrix vanish iff its rank is below s-k."""
 
-    dim: int
-    memberships: tuple[bool, ...]
+    __slots__ = _fields = ("dim", "memberships")
 
 
 # -- the reduction ----------------------------------------------------------------
@@ -116,8 +102,7 @@ class _Block:
         return g
 
 
-@dataclass(frozen=True)
-class FoxReduction:
+class FoxReduction(Value):
     """F ~ diag(1, .., 1, M_1, .., M_n) over Z[H] (Crowell & Fox,
     *Introduction to Knot Theory*, ch. VII).
 
@@ -133,10 +118,11 @@ class FoxReduction:
     each Delta^k of F as `order_k` computes it, and `newton_dims` the
     Newton dimension of each as `order_newton_dim` computes it."""
 
-    pivots: int
-    blocks: tuple[_Block, ...]
-    orders: dict[int, LaurentPoly] = field(default_factory=dict, repr=False, compare=False)
-    newton_dims: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
+    _fields = ("pivots", "blocks")
+    __slots__ = _fields + ("orders", "newton_dims")
+
+    def __init__(self, pivots, blocks):
+        Value.__init__(self, pivots, blocks, {}, {})
 
     @property
     def width(self) -> int:
@@ -147,7 +133,7 @@ class FoxReduction:
 def reduction(F: FoxMatrix) -> FoxReduction:
     """The reduction of F, computed on first use and kept on F."""
     if F.reduced is None:
-        object.__setattr__(F, "reduced", _reduce(F))
+        return F._remember("reduced", _reduce(F))
     return F.reduced
 
 

@@ -4,22 +4,22 @@ circle, torus knot groups, and free-by-cyclic groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from ._value import Value
 from .errors import DomainError
 from .fpgroup import GroupPresentation, Word
 
 
-@dataclass(frozen=True)
-class MonodromyMatrix:
+class MonodromyMatrix(Value):
     """2x2 integer matrix with determinant +-1."""
 
-    entries: tuple[tuple[int, int], tuple[int, int]]
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        (a, b), (c, d) = self.entries
+    def __init__(self, entries):
+        (a, b), (c, d) = entries
         if abs(a * d - b * c) != 1:
             raise DomainError("monodromy matrix must have determinant +-1")
+        Value.__init__(self, entries)
 
     @classmethod
     def of(cls, a, b, c, d) -> "MonodromyMatrix":

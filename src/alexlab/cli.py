@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 parse error (bad files or invocation), 2 computation
 limit exceeded, 3 invalid mathematical input, 4 internal error (any other
 exception, reported on one stderr line).  Every sub-command accepts --machine
 for a deterministic single-line JSON document; where a command returns a
-report dataclass, its `result` object uses that dataclass's field names.
+report class, its `result` object uses the names in that class's field
+tuple (`_fields`).
 One encoder writes that line straight from the reports and polynomials,
 with no document tree built first; its bytes are those of json.dumps with
 sorted keys and compact separators.
@@ -13,13 +14,13 @@ sorted keys and compact separators.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import alexinv, builders, fpgroup, laurent, norms, obstruct, torusgeo
+from ._value import Value
 from .errors import AlexlabError, LimitError, ParseError
 
 
@@ -90,8 +91,8 @@ def parse_torus_spec(text: str) -> torusgeo.TranslatedTorus:
 
 
 def _fields(report) -> dict:
-    """A report dataclass as a dict of its fields by name, values as they are."""
-    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    """A report as a dict of its fields by name, values as they are."""
+    return {name: getattr(report, name) for name in report._fields}
 
 
 def _poly_json(p: laurent.LaurentPoly) -> str:
@@ -108,7 +109,7 @@ def _json(value) -> str:
     """Compact JSON text of a result, every dict's keys sorted, written
     straight from the value: a dict (str keys), list or tuple, str, bool,
     int or None as JSON writes it; a Fraction as its str; a LaurentPoly as
-    its `to_doc()`; any other dataclass as a dict of its fields."""
+    its `to_doc()`; any other `Value` as a dict of its fields."""
     if isinstance(value, str):
         return _json_str(value)
     if value is None:
@@ -127,7 +128,7 @@ def _json(value) -> str:
         return _poly_json(value)
     if isinstance(value, Fraction):
         return _json_str(str(value))
-    if dataclasses.is_dataclass(value):
+    if isinstance(value, Value):
         return _json(_fields(value))
     raise TypeError("no JSON form for %s" % type(value).__name__)
 

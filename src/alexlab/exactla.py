@@ -15,10 +15,10 @@ arguments as they are, and is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
+from ._value import Value
 from .errors import DomainError
 
 
@@ -252,23 +252,22 @@ def hermite_row_basis(rows, ambient: int) -> list[tuple[int, ...]]:
     return [tuple(r) for r in m]
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Value):
     """Sublattice of Z^ambient given by a basis (rows, independent over Q)."""
 
-    ambient: int
-    basis: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("ambient", "basis")
 
-    def __post_init__(self):
-        for b in self.basis:
-            if len(b) != self.ambient:
+    def __init__(self, ambient, basis):
+        for b in basis:
+            if len(b) != ambient:
                 raise DomainError("basis vector length does not match ambient rank")
         # Rows with strictly increasing leading columns (a Hermite basis
         # among them) are independent; only another basis needs its rank.
-        if not _is_echelon(self.basis):
-            r = integer_rank(self.basis)
-            if r != len(self.basis):
+        if not _is_echelon(basis):
+            r = integer_rank(basis)
+            if r != len(basis):
                 raise DomainError("basis vectors are rationally dependent")
+        Value.__init__(self, ambient, basis)
 
     @property
     def rank(self) -> int:

@@ -5,10 +5,10 @@ Smith normal form, Fox derivatives over Z[H], and free products.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import reduce
 
 from . import exactla
+from ._value import Value
 from .errors import DomainError, LimitError, ParseError, limit_from_env
 from .laurent import LaurentPoly
 
@@ -23,12 +23,11 @@ def max_fox_letters() -> int:
     return limit_from_env("ALEXLAB_MAX_LETTERS", DEFAULT_MAX_LETTERS)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Value):
     """Freely reduced word: (generator index, nonzero exponent) syllables,
     adjacent syllables on distinct generators."""
 
-    syllables: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("syllables",)
 
     @classmethod
     def from_pairs(cls, pairs) -> "Word":
@@ -69,44 +68,42 @@ class Word:
         return max((g for g, _ in self.syllables), default=-1)
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
-    warnings: tuple[str, ...] = field(default=(), compare=False)
-    # The abelianized Fox matrix, set by `fox_matrix` on first use, so every
-    # analysis of this object shares one matrix and its reduction.  Equal
-    # presentations built separately share nothing.
-    fox: object = field(default=None, init=False, repr=False, compare=False)
+class GroupPresentation(Value):
+    _fields = ("generators", "relators", "warnings")
+    _compared = _fields[:2]  # not the warnings
+    # The memo `fox` is the abelianized Fox matrix, set by `fox_matrix` on
+    # first use, so every analysis of this object shares one matrix and its
+    # reduction.  Equal presentations built separately share nothing.
+    __slots__ = _fields + ("fox",)
 
-    def __post_init__(self):
-        if len(set(self.generators)) != len(self.generators):
+    def __init__(self, generators, relators, warnings=()):
+        if len(set(generators)) != len(generators):
             raise DomainError("duplicate generator names")
-        for r in self.relators:
-            if r.max_index() >= len(self.generators):
+        for r in relators:
+            if r.max_index() >= len(generators):
                 raise DomainError("relator uses an out-of-range generator index")
+        Value.__init__(self, generators, relators, warnings, None)
 
 
-@dataclass(frozen=True)
-class AbelianizationData:
+class AbelianizationData(Value):
     """b1, invariant factors > 1, and each generator's image in the free
     part H = H_1/torsion, written in a fixed basis of Z^b1."""
 
-    b1: int
-    torsion: tuple[int, ...]
-    images: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("b1", "torsion", "images")
 
 
-@dataclass(frozen=True)
-class FoxMatrix:
+class FoxMatrix(Value):
     """Abelianized Fox-derivative matrix: one row per relator, one column
     per generator, entries in Z[H] as Laurent polynomials in b1 variables."""
 
-    entries: tuple[tuple[LaurentPoly, ...], ...]
-    abelianization: AbelianizationData
-    warnings: tuple[str, ...] = field(default=(), compare=False)
-    # The block/unit-pivot reduction, set by `alexinv.reduction` on first use.
-    reduced: object = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("entries", "abelianization", "warnings")
+    _compared = _fields[:2]  # not the warnings
+    # The memo `reduced` is the block/unit-pivot reduction, set by
+    # `alexinv.reduction` on first use.
+    __slots__ = _fields + ("reduced",)
+
+    def __init__(self, entries, abelianization, warnings=()):
+        Value.__init__(self, entries, abelianization, warnings, None)
 
     @property
     def rows(self) -> int:
@@ -279,8 +276,7 @@ def fox_matrix(p: GroupPresentation) -> FoxMatrix:
             runs[gen].append((base, img, abs(e), sign))
             prefix = after
         rows.append(tuple(LaurentPoly._from_runs(n, rs) if rs else zero for rs in runs))
-    object.__setattr__(p, "fox", FoxMatrix(tuple(rows), ab, warnings))
-    return p.fox
+    return p._remember("fox", FoxMatrix(tuple(rows), ab, warnings))
 
 
 # -- free products ---------------------------------------------------------------

@@ -43,7 +43,6 @@ Z[t] -> Z) and divides exactly only by the Phi_d that pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -51,6 +50,7 @@ from itertools import chain
 from math import gcd as igcd, isqrt, prod
 from operator import add, sub
 
+from ._value import Value
 from .errors import DomainError, LimitError, limit_from_env
 from . import exactla
 
@@ -144,7 +144,7 @@ class LaurentPoly:
     `terms` gives them back as a tuple sorted lexicographically by exponent
     vector, with no zero coefficients.  It is a view decoded from the
     stored keys on first use and kept; `==`, `hash` and arithmetic never
-    decode.  Not a dataclass.  The terms never change once set, by the
+    decode.  Not a `Value`.  The terms never change once set, by the
     constructor or by `_poly`; the decoded view and the exponent ranges are
     caches filled on first use, and `canonical` marks a polynomial that it
     finds already canonical (and tightens its exponent bound).
@@ -207,10 +207,13 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, nvars: int, c: int) -> "LaurentPoly":
-        c = int(c)
+        """The constant c; a c that is not an int raises DomainError, as in
+        the constructor."""
+        if not isinstance(c, int):
+            raise DomainError("coefficients must be integers, got %r" % (c,))
         if c == 0:
             return cls.zero(nvars)
-        return _poly(nvars, ((0, c),), 0, c > 0)
+        return _poly(nvars, ((0, int(c)),), 0, c > 0)
 
     @classmethod
     def one(cls, nvars: int) -> "LaurentPoly":
@@ -740,13 +743,11 @@ def newton_dim(p: LaurentPoly) -> int:
     )
 
 
-@dataclass(frozen=True)
-class UnivariateForm:
+class UnivariateForm(Value):
     """A polynomial with at most 1-dimensional support, rewritten as p(h)
-    for a primitive direction h."""
+    for a primitive direction h: `poly` is univariate, in t."""
 
-    direction: tuple[int, ...]
-    poly: LaurentPoly  # univariate, in t
+    __slots__ = _fields = ("direction", "poly")
 
 
 def line_support(p: LaurentPoly) -> UnivariateForm | None:
@@ -905,13 +906,10 @@ def cyclotomic_polynomial(d: int) -> LaurentPoly:
     return _from_dense(_cyclotomic_coeffs(d))
 
 
-@dataclass(frozen=True)
-class CyclotomicDecomposition:
+class CyclotomicDecomposition(Value):
     """content * prod Phi_d^mult * remainder = input, up to a unit."""
 
-    content: int
-    factors: tuple[tuple[int, int], ...]
-    remainder: LaurentPoly
+    __slots__ = _fields = ("content", "factors", "remainder")
 
     @property
     def is_cyclotomic_product(self) -> bool:

@@ -6,53 +6,47 @@ norms and fibered flags); nothing here computes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import lcm
 
+from ._value import Value
 from .errors import DomainError, LimitError, ParseError
 from .laurent import LaurentPoly
 
 SUPPORT_POLYTOPE_MAX_RANK = 4
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
-    phi: tuple[int, ...]
+class CohomologyClass(Value):
+    __slots__ = _fields = ("phi",)
 
     @classmethod
     def of(cls, values) -> "CohomologyClass":
         return cls(tuple(int(x) for x in values))
 
 
-@dataclass(frozen=True)
-class NormBall:
+class NormBall(Value):
     """Vertex set of a centrally symmetric polytope; `role` records whether
     it is the support-difference polytope or a dual norm ball."""
 
-    vertices: tuple[tuple[Fraction, ...], ...]
-    role: str = "support"
+    __slots__ = _fields = ("vertices", "role")
+
+    def __init__(self, vertices, role="support"):
+        Value.__init__(self, vertices, role)
 
 
-@dataclass(frozen=True)
-class FiberedDatum:
-    phi: CohomologyClass
-    thurston: int
-    fibered: bool
+class FiberedDatum(Value):
+    __slots__ = _fields = ("phi", "thurston", "fibered")
 
 
-@dataclass(frozen=True)
-class McMullenEntry:
-    datum: FiberedDatum
-    alexander: int
-    status: str  # PASS or FAIL
-    reason: str
+class McMullenEntry(Value):
+    """`status` is PASS or FAIL."""
+
+    __slots__ = _fields = ("datum", "alexander", "status", "reason")
 
 
-@dataclass(frozen=True)
-class McMullenReport:
-    entries: tuple[McMullenEntry, ...]
+class McMullenReport(Value):
+    __slots__ = _fields = ("entries",)
 
     @property
     def all_pass(self) -> bool:

@@ -8,9 +8,8 @@ computed condition failed; it is never a sufficiency claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import alexinv, exactla, laurent
+from ._value import Value
 from .errors import DomainError
 from .fpgroup import FoxMatrix, GroupPresentation, fox_matrix, free_product_many
 from .laurent import LaurentPoly
@@ -22,25 +21,20 @@ CONSISTENT = "CONSISTENT"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class PerKFinding:
-    k: int
-    delta: LaurentPoly  # canonical and nonzero, since k >= k0
-    newton_dim: int
-    cyclotomic: str  # "yes", "no", or "n/a"
-    remainder: LaurentPoly | None  # non-cyclotomic part, when computed
+class PerKFinding(Value):
+    """The finding at one k >= k0: `delta` is Delta^k, canonical and nonzero;
+    `cyclotomic` is "yes", "no" or "n/a"; `remainder` is the non-cyclotomic
+    part, when computed, else None."""
+
+    __slots__ = _fields = ("k", "delta", "newton_dim", "cyclotomic", "remainder")
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    test: str  # "kahler" or "qp"
-    b1: int
-    k0: int
-    kmax: int
-    per_k: tuple[PerKFinding, ...]
-    thickness: int
-    verdict: str
-    witnesses: tuple[str, ...]
+class ObstructionReport(Value):
+    """`test` is "kahler" or "qp"; `per_k` holds a `PerKFinding` per k."""
+
+    __slots__ = _fields = (
+        "test", "b1", "k0", "kmax", "per_k", "thickness", "verdict", "witnesses"
+    )
 
 
 def _check_kmax(kmax: int):
@@ -116,25 +110,15 @@ def qp_test(p: GroupPresentation, kmax: int = DEFAULT_KMAX) -> ObstructionReport
 # -- connected sums (free products) --------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactorSummary:
-    b1: int
-    k0: int
-    delta: LaurentPoly
-    thickness: int
+class FactorSummary(Value):
+    __slots__ = _fields = ("b1", "k0", "delta", "thickness")
 
 
-@dataclass(frozen=True)
-class ConnectedSumReport:
-    factors: tuple[FactorSummary, ...]
-    product: GroupPresentation
-    product_b1: int
-    product_k0: int
-    product_delta: LaurentPoly
-    product_thickness: int
-    thickness_additive: bool
-    delta_divisible: bool
-    qp: ObstructionReport
+class ConnectedSumReport(Value):
+    __slots__ = _fields = (
+        "factors", "product", "product_b1", "product_k0", "product_delta",
+        "product_thickness", "thickness_additive", "delta_divisible", "qp",
+    )
 
 
 def _inclusion_rows(factor_images, product_images, b1_factor: int, b1_product: int):

@@ -9,31 +9,29 @@ off one Hermite form (Zassenhaus's sum-intersection trick).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
 from . import exactla
+from ._value import Value
 from .errors import DomainError
 from .exactla import Lattice
 
 
-@dataclass(frozen=True)
-class TranslatedTorus:
-    ambient: int
-    equations: Lattice  # saturated
-    translate: tuple[Fraction, ...]  # entries in [0, 1)
+class TranslatedTorus(Value):
+    """`equations` is a saturated `Lattice`; `translate` has entries in [0, 1)."""
+
+    __slots__ = _fields = ("ambient", "equations", "translate")
 
     @property
     def dim(self) -> int:
         return self.ambient - self.equations.rank
 
 
-@dataclass(frozen=True)
-class IntersectionReport:
-    meets: bool
-    dim: int | None  # meaningful only when meets
-    parallel: bool
+class IntersectionReport(Value):
+    """`dim` is meaningful only when `meets`."""
+
+    __slots__ = _fields = ("meets", "dim", "parallel")
 
 
 def make_torus(n: int, rows, translate) -> TranslatedTorus:

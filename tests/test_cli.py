@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import pathlib
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from alexlab import alexinv, cli, fpgroup, laurent, norms, obstruct, torusgeo
+from alexlab._value import Value
 from alexlab.errors import ParseError
 
 TREFOIL_FP = "gens a b\nrel a^2 b^-3\n"
@@ -358,13 +358,14 @@ def test_machine_goldens_build_no_document_tree(capsys, golden_inputs, monkeypat
 
 def _reference_doc(value):
     """The document of a result as `cli._doc` built it before the direct
-    encoder: a LaurentPoly is its `to_doc()`, any other dataclass a dict of
-    its fields, a tuple or list a list, a Fraction its str; dicts, which the
-    commands built around `_doc`'s results, are walked as well."""
+    encoder: a LaurentPoly is its `to_doc()`, any other `Value` a dict of
+    the fields in its `_fields`, a tuple or list a list, a Fraction its str;
+    dicts, which the commands built around `_doc`'s results, are walked as
+    well."""
     if isinstance(value, laurent.LaurentPoly):
         return value.to_doc()
-    if dataclasses.is_dataclass(value):
-        return {f.name: _reference_doc(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Value):
+        return {name: _reference_doc(getattr(value, name)) for name in value._fields}
     if isinstance(value, dict):
         return {k: _reference_doc(v) for k, v in value.items()}
     if isinstance(value, (tuple, list)):
@@ -408,10 +409,8 @@ _REPORTS = (
 
 
 def _reports(children):
-    """Report dataclasses, each field a subtree."""
-    return st.one_of(
-        [st.builds(cls, *[children] * len(dataclasses.fields(cls))) for cls in _REPORTS]
-    )
+    """Report classes, each field a subtree."""
+    return st.one_of([st.builds(cls, *[children] * len(cls._fields)) for cls in _REPORTS])
 
 
 _LEAVES = st.one_of(

@@ -93,6 +93,17 @@ def test_constructor_and_monomial_refuse_non_integers():
     assert LaurentPoly(1, [((1,), 3)]) == LaurentPoly.monomial(1, (1,), 3)
 
 
+def test_constant_refuses_non_integers():
+    # By the constructor's rule: a float, a str or a Fraction is refused,
+    # not truncated or parsed.
+    for c in (1.5, "3", Fraction(7, 2)):
+        with pytest.raises(DomainError):
+            LaurentPoly.constant(1, c)
+    assert LaurentPoly.constant(1, 3) == LaurentPoly(1, [((0,), 3)])
+    assert LaurentPoly.constant(2, True) == LaurentPoly(2, [((0, 0), True)])
+    assert type(LaurentPoly.constant(1, True).terms[0][1]) is int
+
+
 def test_monomial_builds_through_the_constructor():
     # A bool is an int subclass: the constructor stores the int 1 for True,
     # and so does `monomial`, which goes through it.
