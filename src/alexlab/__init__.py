@@ -7,13 +7,7 @@ necessary-condition tests for Kahler and quasi-projective groups.
 """
 
 from .errors import AlexlabError, DomainError, LimitError, ParseError
-from .exactla import (
-    Lattice,
-    integer_rank,
-    lattice_from_generators,
-    saturate,
-    smith_normal_form,
-)
+from .exactla import integer_rank, saturate, smith_normal_form
 from .laurent import (
     CyclotomicDecomposition,
     LaurentPoly,
@@ -71,9 +65,7 @@ __all__ = [
     "DomainError",
     "LimitError",
     "ParseError",
-    "Lattice",
     "integer_rank",
-    "lattice_from_generators",
     "saturate",
     "smith_normal_form",
     "CyclotomicDecomposition",

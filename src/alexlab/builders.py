@@ -23,6 +23,9 @@ class MonodromyMatrix(Value):
 
     @classmethod
     def of(cls, a, b, c, d) -> "MonodromyMatrix":
+        """The matrix ((a, b), (c, d)) of ints; any other entry raises DomainError."""
+        if not all(isinstance(x, int) for x in (a, b, c, d)):
+            raise DomainError("matrix entries must be integers, got %r" % ((a, b, c, d),))
         return cls(((int(a), int(b)), (int(c), int(d))))
 
     @property

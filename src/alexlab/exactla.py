@@ -5,8 +5,10 @@ ranks in `alexinv` (over Frac Z[H], and at a torsion character, over Z[t]).
 A rank over Frac Z[H] of a matrix with at most one row or column needs
 none: `alexinv._frac_rank` reads it off the nonzero entries.  The integer
 rank streams rows into an echelon basis instead and stops at full column
-rank.  The sum and the intersection of two lattices have no function here:
-`torusgeo.intersect` reads both off one Hermite form of a stacked basis.
+rank.  A lattice has no class here: it is its Hermite row basis, and
+`saturate(rows, n)` takes any generating rows of one.  The sum and the
+intersection of two lattices have no function either: `torusgeo.intersect`
+reads both off one Hermite form of a stacked basis.
 
 Apart from `bareiss`, which works in place over any exact domain, everything
 here works with plain Python integers (arbitrary precision), leaves its
@@ -18,7 +20,6 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd
 
-from ._value import Value
 from .errors import DomainError
 
 
@@ -85,7 +86,7 @@ def integer_rank(rows) -> int:
             if x:
                 p = b[pc]
                 row = [p * y - x * z for y, z in zip(row, b)]
-        g = content(row)
+        g = gcd(*row)
         if g:
             row = [y // g for y in row] if g != 1 else row
             basis.append((next(j for j, y in enumerate(row) if y), row))
@@ -212,12 +213,17 @@ def hermite_row_basis(rows, ambient: int) -> list[tuple[int, ...]]:
     Pivots positive, entries above each pivot reduced into [0, pivot),
     pivot by pivot from the top.  Two generating sets span the same lattice
     iff their Hermite bases are equal, which is how lattice equality is
-    tested.
+    tested.  A row whose length is not `ambient`, or with an entry that is
+    not an int, raises DomainError; a bool is taken as its int.
     """
-    m = [list(map(int, r)) for r in rows if any(r)]
-    for r in m:
+    m = []
+    for r in rows:
         if len(r) != ambient:
             raise DomainError("row length does not match ambient rank")
+        if not all(isinstance(x, int) for x in r):
+            raise DomainError("lattice entries must be integers, got %r" % (r,))
+        if any(r):
+            m.append(list(map(int, r)))
     pivots = []
     top = 0
     for col in range(ambient):
@@ -252,71 +258,24 @@ def hermite_row_basis(rows, ambient: int) -> list[tuple[int, ...]]:
     return [tuple(r) for r in m]
 
 
-class Lattice(Value):
-    """Sublattice of Z^ambient given by a basis (rows, independent over Q)."""
+def saturate(rows, ambient: int) -> tuple[tuple[int, ...], ...]:
+    """Hermite basis of the smallest lattice containing the rows (any
+    generating set) whose quotient of Z^n is torsion-free, n = ambient:
+    QL meet Z^n for the lattice L they span.
 
-    __slots__ = _fields = ("ambient", "basis")
-
-    def __init__(self, ambient, basis):
-        for b in basis:
-            if len(b) != ambient:
-                raise DomainError("basis vector length does not match ambient rank")
-        # Rows with strictly increasing leading columns (a Hermite basis
-        # among them) are independent; only another basis needs its rank.
-        if not _is_echelon(basis):
-            r = integer_rank(basis)
-            if r != len(basis):
-                raise DomainError("basis vectors are rationally dependent")
-        Value.__init__(self, ambient, basis)
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-
-def _is_echelon(basis) -> bool:
-    """Every row nonzero, with leading columns strictly increasing."""
-    last = -1
-    for b in basis:
-        lead = next((j for j, x in enumerate(b) if x), None)
-        if lead is None or lead <= last:
-            return False
-        last = lead
-    return True
-
-
-def _is_unit_hermite(basis) -> bool:
-    """A Hermite basis with every pivot 1: echelon, each leading entry 1
-    and the only nonzero entry of its column."""
-    last = -1
-    for i, b in enumerate(basis):
-        lead = next((j for j, x in enumerate(b) if x), None)
-        if lead is None or lead <= last or b[lead] != 1 or any(r[lead] for r in basis[:i]):
-            return False
-        last = lead
-    return True
-
-
-def lattice_from_generators(ambient: int, rows) -> Lattice:
-    """Lattice spanned by an arbitrary (possibly dependent) generating set."""
-    return Lattice(ambient, tuple(hermite_row_basis(rows, ambient)))
-
-
-def saturate(L: Lattice) -> Lattice:
-    """Smallest lattice containing L whose quotient of Z^n is torsion-free,
-    i.e. QL meet Z^n, from one Smith form U B V = D of the basis B.
-
-    B = U^-1 D V^-1, so row i of U B is d_i times row i of V^-1, and the
-    first rank(B) rows of the unimodular V^-1 are a basis of QL meet Z^n.
-    A Hermite basis with every pivot 1 (no rows among them) needs no Smith
-    form: unit vectors in its other columns extend it to a unimodular
-    matrix, so L is already saturated.
+    A Hermite basis B of L with every pivot 1 is the answer: entries above
+    a pivot 1 are reduced into [0, 1), so unit vectors in the other columns
+    extend B to a unimodular matrix.  Otherwise one Smith form U B V = D
+    gives it: B = U^-1 D V^-1, so row i of U B is d_i times row i of V^-1,
+    and the first rank(B) rows of the unimodular V^-1 are a basis of
+    QL meet Z^n.
     """
-    if _is_unit_hermite(L.basis):
-        return L
-    U, d, _ = smith_normal_form(L.basis)
-    rows = [[x // di for x in row] for di, row in zip(d, _matmul(U, L.basis)) if di]
-    return lattice_from_generators(L.ambient, rows)
+    B = hermite_row_basis(rows, ambient)
+    if all(next(filter(None, b)) == 1 for b in B):
+        return tuple(B)
+    U, d, _ = smith_normal_form(B)
+    rows = [[x // di for x in row] for di, row in zip(d, _matmul(U, B)) if di]
+    return tuple(hermite_row_basis(rows, ambient))
 
 
 def solve_integer(P, Q):
@@ -335,7 +294,3 @@ def solve_integer(P, Q):
     Y = [[x // di for x in row] for di, row in zip(d, UQ[:r])] + [zero] * (len(V) - r)
     return _matmul(V, Y)
 
-
-def content(values) -> int:
-    """gcd of a collection of integers; 0 for an empty or all-zero collection."""
-    return gcd(*values)

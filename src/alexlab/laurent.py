@@ -628,7 +628,7 @@ def _heu_gcd(F: LaurentPoly, G: LaurentPoly) -> LaurentPoly:
         if ff and gg:
             h = _heu_gcd(_from_key_dict(n - 1, ff), _from_key_dict(n - 1, gg))
             H = _lift_last(h._items, xi)
-            hc = exactla.content(H.values())
+            hc = igcd(*H.values())
             C = _from_key_dict(n, {k: c // hc for k, c in H.items()})
             # With min exponents 0, division in the Laurent ring is division
             # in the polynomial ring, where the theorem holds.
@@ -768,7 +768,7 @@ def line_support(p: LaurentPoly) -> UnivariateForm | None:
     base = pts[0]
     diffs = [tuple(a - b for a, b in zip(s, base)) for s in pts]
     d0 = next(d for d in diffs if any(d))
-    g = exactla.content(d0)
+    g = igcd(*d0)
     h = tuple(x // g for x in d0)
     for i, x in enumerate(h):
         if x:
@@ -967,7 +967,7 @@ def cyclotomic_decompose(p: LaurentPoly) -> CyclotomicDecomposition:
     if p.is_zero():
         raise DomainError("cyclotomic_decompose of the zero polynomial")
     items = p.canonical()._items
-    c = exactla.content(x for _, x in items)
+    c = igcd(*[x for _, x in items])
     P = [0] * (items[-1][0] + 1)
     for k, x in items:
         P[k] = x // c

@@ -22,7 +22,11 @@ class CohomologyClass(Value):
 
     @classmethod
     def of(cls, values) -> "CohomologyClass":
-        return cls(tuple(int(x) for x in values))
+        """The class with the given int entries; any other raises DomainError."""
+        values = tuple(values)
+        if not all(isinstance(x, int) for x in values):
+            raise DomainError("cohomology class entries must be integers, got %r" % (values,))
+        return cls(tuple(map(int, values)))
 
 
 class NormBall(Value):

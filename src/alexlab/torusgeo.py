@@ -1,6 +1,7 @@
 """Torsion-translated subtori of the character torus.
 
-A subtorus is encoded by its saturated lattice of exponent equations:
+A subtorus is encoded by its saturated lattice of exponent equations,
+stored as that lattice's Hermite row basis, `exactla.saturate(rows, n)`:
 T = {z : z^u = 1 for all u in the lattice}, translated by a torsion point
 exp(2*pi*i*q) with q rational.  Products and intersections of subtori then
 reduce to the intersection and the sum of two equation lattices, both read
@@ -15,17 +16,17 @@ from numbers import Rational
 from . import exactla
 from ._value import Value
 from .errors import DomainError
-from .exactla import Lattice
 
 
 class TranslatedTorus(Value):
-    """`equations` is a saturated `Lattice`; `translate` has entries in [0, 1)."""
+    """`equations` is the Hermite basis of a saturated lattice, a tuple of
+    row tuples; `translate` has entries in [0, 1)."""
 
     __slots__ = _fields = ("ambient", "equations", "translate")
 
     @property
     def dim(self) -> int:
-        return self.ambient - self.equations.rank
+        return self.ambient - len(self.equations)
 
 
 class IntersectionReport(Value):
@@ -35,14 +36,11 @@ class IntersectionReport(Value):
 
 
 def make_torus(n: int, rows, translate) -> TranslatedTorus:
-    """Build a translated torus from exponent equations (dependent rows are
-    reduced away) and a rational translate, reduced mod 1.  Non-rational
-    translate entries are rejected: components of jump loci are translated
-    by torsion characters only."""
-    rows = [tuple(int(x) for x in r) for r in rows]
-    for r in rows:
-        if len(r) != n:
-            raise DomainError("equation row length does not match ambient rank")
+    """Build a translated torus from int exponent equations (dependent rows
+    are reduced away) and a rational translate, reduced mod 1; any other
+    entry raises DomainError.  The translate must be rational because
+    components of jump loci are translated by torsion characters only."""
+    equations = exactla.saturate(rows, n)
     translate = tuple(translate)
     if len(translate) != n:
         raise DomainError("translate length does not match ambient rank")
@@ -50,8 +48,7 @@ def make_torus(n: int, rows, translate) -> TranslatedTorus:
         if not isinstance(x, Rational):
             raise DomainError("translate entries must be rational (torsion characters)")
     q = tuple(Fraction(x) % 1 for x in translate)
-    lat = exactla.saturate(exactla.lattice_from_generators(n, rows))
-    return TranslatedTorus(n, lat, q)
+    return TranslatedTorus(n, equations, q)
 
 
 def _pairing_integral(basis, q) -> bool:
@@ -76,7 +73,7 @@ def intersect(T1: TranslatedTorus, T2: TranslatedTorus) -> IntersectionReport:
     n = T1.ambient
     if n != T2.ambient:
         raise DomainError("ambient mismatch")
-    B1, B2 = T1.equations.basis, T2.equations.basis
+    B1, B2 = T1.equations, T2.equations
     zero = (0,) * n
     H = exactla.hermite_row_basis([(*b, *b) for b in B1] + [(*b, *zero) for b in B2], 2 * n)
     inter = [h[n:] for h in H if not any(h[:n])]

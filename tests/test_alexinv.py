@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from alexlab import alexinv, exactla, laurent, obstruct
 from alexlab.alexinv import (
@@ -26,7 +26,7 @@ from alexlab.fpgroup import (
 )
 from alexlab.laurent import LaurentPoly
 
-from corpus import ALL, FIG8, KLEIN, SOL3, SUM_PAIRS, T34, TREFOIL, ZZ
+from corpus import ALL, FIG8, KLEIN, SOL3, SUM_PAIRS, T34, TREFOIL, WHITEHEAD, ZZ
 from cyclo_ref import Cyclo
 
 T = LaurentPoly.variable(1, 0)
@@ -687,6 +687,76 @@ def test_tietze_new_generator_keeps_orders(entry, pairs):
     for k in range(4):
         moved = laurent.apply_exponent_map(order_k(G, k), rows, b1).canonical()
         assert moved == order_k(F, k), (entry.name, k)
+
+
+TIETZE_MOVES = ("product", "invert", "rotate", "conjugate", "new generator")
+
+
+def _tietze(p: GroupPresentation, move, i, j, e, pairs) -> GroupPresentation:
+    """One Tietze move on p: append r_i r_j, invert r_i, cyclically permute
+    r_i, conjugate r_i by a generator, or add a generator y with the
+    relator y w^-1.  Indices are taken mod the current counts; with no
+    relator to act on, the move adds a generator."""
+    g, rels = len(p.generators), list(p.relators)
+    if move == "new generator" or not rels:
+        return _add_generator(p, Word.from_pairs((x % g, d) for x, d in pairs) if g else Word(()))
+    i %= len(rels)
+    r = rels[i]
+    if move == "product":
+        rels.append(r * rels[j % len(rels)])
+    elif move == "invert":
+        rels[i] = r.inverse()
+    elif move == "rotate":
+        k = j % (len(r.syllables) + 1)
+        rels[i] = Word.from_pairs(r.syllables[k:] + r.syllables[:k])
+    else:
+        x = Word(((j % g, e),))
+        rels[i] = x * r * x.inverse()
+    return GroupPresentation(p.generators, tuple(rels))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(ALL),
+    st.lists(
+        st.tuples(
+            st.sampled_from(TIETZE_MOVES),
+            st.integers(0, 10),
+            st.integers(0, 10),
+            st.sampled_from((-2, -1, 1, 2)),
+            st.lists(st.tuples(st.integers(0, 10), st.sampled_from((-2, -1, 1, 2))), max_size=4),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.lists(st.one_of(st.just(0), st.integers(1, 6)), min_size=3, max_size=3),
+)
+# q's basis of H differs from p's here, and rho = (2/m, 0) has another
+# cv_dim on q than M^T rho.
+@example(WHITEHEAD, [("new generator", 2, 0, -1, [(1, -1), (0, 1)])], [2, 0, 0])
+def test_tietze_sequences_keep_invariants(entry, moves, nums):
+    p = q = entry.presentation
+    for move in moves:
+        q = _tietze(q, *move)
+    F, G = fox_matrix(p), fox_matrix(q)
+    b1 = F.nvars
+    assert (G.nvars, G.abelianization.torsion) == (b1, F.abelianization.torsion)
+    assert first_order(G)[0] == first_order(F)[0]
+    assert thickness(G) == thickness(F)
+    for test in (obstruct.kahler_test, obstruct.qp_test):
+        assert test(q).verdict == test(p).verdict, (entry.name, moves)
+    # Generators are only appended, so p's come first in q.  M (the rows)
+    # sends q's basis of H to p's; a character rho of p's is M^T rho on q's.
+    g = len(p.generators)
+    rows = obstruct._inclusion_rows(G.abelianization.images[:g], F.abelianization.images, b1, b1)
+    for k in range(4):
+        moved = laurent.apply_exponent_map(order_k(G, k), rows, b1).canonical()
+        assert moved == order_k(F, k), (entry.name, moves, k)
+    for m in (5, 7) if b1 else ():
+        rho = [Fraction(x, m) for x in nums[:b1]]
+        pulled = [sum(row[j] * r for row, r in zip(rows, rho)) for j in range(b1)]
+        want = cv_dim(F, CharacterPoint(rho)).dim
+        assert cv_dim(G, CharacterPoint(pulled)).dim == want, (entry.name, moves, rho)
 
 
 def _fresh(p: GroupPresentation) -> GroupPresentation:

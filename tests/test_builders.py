@@ -54,6 +54,15 @@ def test_torus_bundle_rejects_non_unimodular():
         torus_bundle(MonodromyMatrix.of(2, 0, 0, 2))
 
 
+def test_monodromy_matrix_refuses_entries_that_are_not_ints():
+    # Refused, not truncated or parsed; a bool is taken as its int.
+    for entries in ((1.9, 1, 0, 1), (1, "1", 0, 1), (1, 1, 0, 1.0)):
+        with pytest.raises(DomainError):
+            MonodromyMatrix.of(*entries)
+    A = MonodromyMatrix.of(True, 1, False, 1)
+    assert A.entries == ((1, 1), (0, 1)) and all(type(x) is int for row in A.entries for x in row)
+
+
 def unimodular_box():
     for a, b, c, d in iproduct(range(-2, 3), repeat=4):
         if abs(a * d - b * c) == 1:

@@ -285,6 +285,14 @@ GOLDENS = {
         "--t2", "n=2;rows=(0,1)",
         "--machine",
     ],
+    # Dependent rows, and a lattice that is not saturated: the Smith path
+    # of `saturate`.
+    "tori_intersect_smith.json": [
+        "tori", "intersect",
+        "--t1", "n=3;rows=(2,4,6),(1,2,3);q=(1/2,0,0)",
+        "--t2", "n=3;rows=(0,0,2)",
+        "--machine",
+    ],
     "sum_sol_rp3.json": ["sum", "solbundle.fp", "rp3.fp", "--machine"],
     "abelianize_trefoil.json": ["abelianize", "trefoil.fp", "--machine"],
     "thickness_whitehead.json": ["thickness", "wh.fp", "--machine"],

@@ -4,10 +4,10 @@ from math import gcd
 from operator import floordiv
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alexlab import exactla
 from alexlab.errors import DomainError
-from alexlab.exactla import Lattice, lattice_from_generators
 
 
 def random_matrix(rng, max_dim=5, lo=-9, hi=9):
@@ -177,13 +177,10 @@ def test_bareiss_minor_on_pivot_rows_and_columns():
 
 
 def test_saturate_examples():
-    L = lattice_from_generators(2, [(2, 0)])
-    assert exactla.saturate(L).basis == ((1, 0),)
-    L = lattice_from_generators(2, [(2, 2)])
-    assert exactla.saturate(L).basis == ((1, 1),)
+    assert exactla.saturate([(2, 0)], 2) == ((1, 0),)
+    assert exactla.saturate([(2, 2)], 2) == ((1, 1),)
     # det(-2): saturation has index 2, hence is all of Z^2.
-    L = lattice_from_generators(2, [(1, 2), (3, 4)])
-    assert exactla.saturate(L).basis == ((1, 0), (0, 1))
+    assert exactla.saturate([(1, 2), (3, 4)], 2) == ((1, 0), (0, 1))
 
 
 def test_saturate_idempotent_and_rank_preserving():
@@ -192,20 +189,19 @@ def test_saturate_idempotent_and_rank_preserving():
         n = rng.randint(1, 4)
         k = rng.randint(0, n)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
-        L = lattice_from_generators(n, rows)
-        s1 = exactla.saturate(L)
-        assert exactla.saturate(s1) == s1
-        assert s1.rank == L.rank
+        s1 = exactla.saturate(rows, n)
+        assert exactla.saturate(s1, n) == s1
+        assert len(s1) == len(exactla.hermite_row_basis(rows, n))
 
 
-def _saturate_reference(L):
-    """QL meet Z^n as the double integer kernel ker(ker(B)^T), B the basis."""
-    if not L.basis:
-        return L
-    K = kernel_basis(L.basis)
-    if not K:
-        return lattice_from_generators(L.ambient, identity(L.ambient))
-    return lattice_from_generators(L.ambient, kernel_basis(K))
+def _saturate_reference(rows, n):
+    """QL meet Z^n as the double integer kernel ker(ker(B)^T), B the
+    Hermite basis of the rows."""
+    B = exactla.hermite_row_basis(rows, n)
+    if not B:
+        return ()
+    K = kernel_basis(B)
+    return tuple(exactla.hermite_row_basis(kernel_basis(K) if K else identity(n), n))
 
 
 def test_saturate_matches_double_kernel():
@@ -216,15 +212,45 @@ def test_saturate_matches_double_kernel():
         k = 0 if t % 10 == 0 else rng.randint(1, n + 1)
         scale = rng.choice((1, 2, 3, 6))
         rows = [[scale * rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
-        L = lattice_from_generators(n, rows)
-        kind = "zero" if not L.rank else "full" if L.rank == n else "deficient"
+        rank = len(exactla.hermite_row_basis(rows, n))
+        kind = "zero" if not rank else "full" if rank == n else "deficient"
         kinds[kind] += 1
-        assert exactla.saturate(L) == _saturate_reference(L), rows
+        assert exactla.saturate(rows, n) == _saturate_reference(rows, n), rows
     assert min(kinds.values()) >= 25, kinds
 
 
+@st.composite
+def _generating_rows(draw):
+    """(n, rows) for an ambient n of 0 to 4: random rows, with zero rows,
+    repeated rows and integer combinations of two rows mixed in."""
+    n = draw(st.integers(0, 4))
+    entry = st.integers(-6, 6)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4))
+    for kind in draw(st.lists(st.sampled_from(("zero", "repeat", "combination")), max_size=3)):
+        if kind == "zero":
+            rows.insert(draw(st.integers(0, len(rows))), [0] * n)
+        elif rows:
+            i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+            a, b = (1, 0) if kind == "repeat" else (draw(entry), draw(entry))
+            rows.insert(draw(st.integers(0, len(rows))), [a * x + b * y for x, y in zip(rows[i], rows[j])])
+    return n, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_generating_rows())
+def test_saturate_takes_any_generating_rows(case):
+    # Dependent, zero or repeated rows, or none: the answer is the
+    # reference's Hermite basis, as a tuple of row tuples, and saturated.
+    n, rows = case
+    s = exactla.saturate(rows, n)
+    assert type(s) is tuple and all(type(r) is tuple for r in s)
+    assert s == _saturate_reference(rows, n)
+    assert exactla.hermite_row_basis(list(s), n) == list(s)
+    assert exactla.saturate(s, n) == s
+
+
 def test_saturate_skips_smith_form_exactly_for_unit_pivots(monkeypatch):
-    """Echelon bases with pivots 1 (saturated already) against bases with
+    """Echelon rows with pivots 1 (saturated already) against rows with
     one pivot 2 or 3, at rank 0, deficient rank and full rank: each matches
     the double-kernel reference, and only the latter take a Smith form."""
     snfs = []
@@ -242,28 +268,40 @@ def test_saturate_skips_smith_form_exactly_for_unit_pivots(monkeypatch):
             row = [0] * c + [1] + [rng.randint(-3, 3) for _ in range(n - c - 1)]
             row[c] = pivot if i == k - 1 else 1
             rows.append(row)
-        L = lattice_from_generators(n, rows)
-        want = _saturate_reference(L)
+        want = _saturate_reference(rows, n)
         del snfs[:]
-        assert exactla.saturate(L) == want, rows
+        assert exactla.saturate(rows, n) == want, rows
         assert bool(snfs) == (pivot != 1), rows
         if pivot == 1:
-            assert want == L
+            assert want == tuple(exactla.hermite_row_basis(rows, n))
         seen.add(("zero" if not k else "full" if k == n else "deficient", pivot))
     assert {(kind, p) for kind in ("full", "deficient") for p in (1, 2, 3)} <= seen
     assert ("zero", 1) in seen
-    # An echelon basis with pivots 1 but not reduced above them is not a
-    # Hermite basis; it takes the Smith form and comes back canonical.
-    L = Lattice(2, ((1, 1), (0, 1)))
-    assert exactla.saturate(L) == _saturate_reference(L) == lattice_from_generators(2, L.basis)
+    # Echelon rows with pivots 1 but not reduced above them are not a
+    # Hermite basis; their Hermite basis has the same pivots, so they come
+    # back canonical with no Smith form.
+    del snfs[:]
+    assert exactla.saturate([(1, 1), (0, 1)], 2) == ((1, 0), (0, 1))
+    assert snfs == []
+    assert _saturate_reference([(1, 1), (0, 1)], 2) == ((1, 0), (0, 1))
 
 
 def test_hermite_basis_is_canonical_regression():
     # Two generating sets of one lattice: reducing above the pivots from the
     # bottom up gave ((1, 0, 3), ...) for the second.
-    a = lattice_from_generators(3, [(0, 1, 1), (1, 0, -1), (-1, 1, 0)])
-    b = lattice_from_generators(3, [(-1, 2, 1), (1, 0, -1), (-1, 1, 0)])
-    assert a.basis == b.basis == ((1, 0, 1), (0, 1, 1), (0, 0, 2))
+    a = exactla.hermite_row_basis([(0, 1, 1), (1, 0, -1), (-1, 1, 0)], 3)
+    b = exactla.hermite_row_basis([(-1, 2, 1), (1, 0, -1), (-1, 1, 0)], 3)
+    assert a == b == [(1, 0, 1), (0, 1, 1), (0, 0, 2)]
+
+
+def test_hermite_basis_refuses_entries_that_are_not_ints():
+    # A float or a string is refused, not truncated or parsed; a bool is
+    # taken as its int.
+    for rows in ([(1.5, 0)], [("3", 0)], [(0, 0), (1, 2.0)]):
+        with pytest.raises(DomainError):
+            exactla.hermite_row_basis(rows, 2)
+    (row,) = exactla.hermite_row_basis([(True, False)], 2)
+    assert row == (1, 0) and all(type(x) is int for x in row)
 
 
 def _unimodular_mix(rng, rows):
@@ -294,29 +332,6 @@ def test_hermite_basis_invariant_under_unimodular_row_operations():
             c = next(j for j, x in enumerate(row) if x)
             assert row[c] > 0
             assert all(0 <= H[i][c] < row[c] for i in range(r))
-
-
-def test_lattice_rejects_dependent_basis():
-    for basis in (
-        ((1, 2), (2, 4)),
-        ((1, 2, 0), (0, 1, 3), (0, 0, 0)),  # echelon-looking, with a zero row
-        ((0, 1, 1), (0, 2, 2)),  # equal leading columns
-    ):
-        with pytest.raises(DomainError):
-            Lattice(len(basis[0]), basis)
-    # Equal leading columns but independent: the rank decides.
-    assert Lattice(3, ((0, 1, 1), (0, 1, 2))).rank == 2
-
-
-def test_lattice_trusts_echelon_bases(monkeypatch):
-    ranks = []
-    rank = exactla.integer_rank
-    monkeypatch.setattr(exactla, "integer_rank", lambda A: ranks.append(A) or rank(A))
-    L = lattice_from_generators(3, [(2, 4, 6), (1, 1, 1), (0, 3, 9)])
-    assert exactla.saturate(L).rank == L.rank == 3
-    assert ranks == []
-    Lattice(2, ((0, 1), (1, 0)))
-    assert len(ranks) == 1
 
 
 def test_kernel_is_saturated_annihilator():

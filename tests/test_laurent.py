@@ -3,6 +3,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -917,7 +918,7 @@ def _decompose_reference(p):
     Phi_d with phi(d) <= its degree (such d are at most 2 deg^2), d
     increasing, as often as it goes."""
     terms = p.canonical().terms
-    c = exactla.content(x for _, x in terms)
+    c = gcd(*[x for _, x in terms])
     P = [0] * (terms[-1][0][0] + 1)
     for (k,), x in terms:
         P[k] = x // c

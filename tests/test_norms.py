@@ -53,6 +53,15 @@ def test_alexander_norm_rank_mismatch():
         alexander_norm(ONE_X_Y, CohomologyClass.of([1]))
 
 
+def test_cohomology_class_refuses_entries_that_are_not_ints():
+    # Refused, not truncated or parsed; a bool is taken as its int.
+    for values in ([1.5, 2], [1, "2"], [1.0]):
+        with pytest.raises(DomainError):
+            CohomologyClass.of(values)
+    phi = CohomologyClass.of(iter([True, 2])).phi
+    assert phi == (1, 2) and all(type(x) is int for x in phi)
+
+
 def test_homogeneity_and_symmetry():
     for entry, delta in corpus_first_orders():
         n = delta.nvars
