@@ -4,11 +4,10 @@ A subclass lists its fields once, in order: `__slots__ = _fields = (..)`, or
 `_fields = (..)` then `__slots__ = _fields + (memo slots)`.  `Value` gives
 what `@dataclass(frozen=True)` gave, with nothing generated when a class is
 defined: `__init__` (one positional argument per slot), the dataclass
-`__repr__` over `_fields`, `__eq__` and `__hash__` over `_compared` (all of
-`_fields` unless a class names fewer), and a `__setattr__` that refuses
-every assignment.  A class with defaults, memo slots or a check writes an
-`__init__` that hands every slot to `Value.__init__`; `_remember` fills a
-memo slot later.
+`__repr__`, `__eq__` and `__hash__` over `_fields`, and a `__setattr__`
+that refuses every assignment.  A class with defaults, memo slots or a
+check writes an `__init__` that hands every slot to `Value.__init__`;
+`_remember` fills a memo slot later.
 """
 
 _set = object.__setattr__
@@ -17,7 +16,6 @@ _set = object.__setattr__
 class Value:
     __slots__ = ()
     _fields: tuple = ()
-    _compared = None  # the fields `__eq__` and `__hash__` read, when not all
 
     def __init__(self, *args):
         slots = self.__slots__
@@ -27,7 +25,7 @@ class Value:
             _set(self, name, value)
 
     def _key(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._compared or self._fields])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

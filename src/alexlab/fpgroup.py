@@ -31,8 +31,12 @@ class Word(Value):
 
     @classmethod
     def from_pairs(cls, pairs) -> "Word":
+        """The reduced word of (generator index, exponent) int pairs; any
+        other entry raises DomainError, and a bool is taken as its int."""
         out: list[list[int]] = []
         for g, e in pairs:
+            if not (isinstance(g, int) and isinstance(e, int)):
+                raise DomainError("word syllables must be integer pairs, got %r" % ((g, e),))
             g, e = int(g), int(e)
             if e == 0:
                 continue
@@ -45,9 +49,6 @@ class Word(Value):
         # out is a stack whose neighbours always differ in generator, so a
         # cancellation at the top exposes no new adjacent pair.
         return cls(tuple((g, e) for g, e in out))
-
-    def is_empty(self) -> bool:
-        return not self.syllables
 
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
@@ -69,20 +70,19 @@ class Word(Value):
 
 
 class GroupPresentation(Value):
-    _fields = ("generators", "relators", "warnings")
-    _compared = _fields[:2]  # not the warnings
+    _fields = ("generators", "relators")
     # The memo `fox` is the abelianized Fox matrix, set by `fox_matrix` on
     # first use, so every analysis of this object shares one matrix and its
     # reduction.  Equal presentations built separately share nothing.
     __slots__ = _fields + ("fox",)
 
-    def __init__(self, generators, relators, warnings=()):
+    def __init__(self, generators, relators):
         if len(set(generators)) != len(generators):
             raise DomainError("duplicate generator names")
         for r in relators:
             if r.max_index() >= len(generators):
                 raise DomainError("relator uses an out-of-range generator index")
-        Value.__init__(self, generators, relators, warnings, None)
+        Value.__init__(self, generators, relators, None)
 
 
 class AbelianizationData(Value):
@@ -96,14 +96,13 @@ class FoxMatrix(Value):
     """Abelianized Fox-derivative matrix: one row per relator, one column
     per generator, entries in Z[H] as Laurent polynomials in b1 variables."""
 
-    _fields = ("entries", "abelianization", "warnings")
-    _compared = _fields[:2]  # not the warnings
+    _fields = ("entries", "abelianization")
     # The memo `reduced` is the block/unit-pivot reduction, set by
     # `alexinv.reduction` on first use.
     __slots__ = _fields + ("reduced",)
 
-    def __init__(self, entries, abelianization, warnings=()):
-        Value.__init__(self, entries, abelianization, warnings, None)
+    def __init__(self, entries, abelianization):
+        Value.__init__(self, entries, abelianization, None)
 
     @property
     def rows(self) -> int:
@@ -144,13 +143,11 @@ def parse_presentation(text: str) -> GroupPresentation:
 
     First non-comment line: `gens <name> ...`; each later line
     `rel <token> ...` with tokens `name`, `name^-1`, or `name^k`.
-    `#` starts a comment.  Relators that reduce to the empty word are kept
-    and flagged in the presentation's warning list.
+    `#` starts a comment.  Relators that reduce to the empty word are kept.
     """
     gens: list[str] | None = None
     gen_index: dict = {}
     relators: list[Word] = []
-    warnings: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -173,17 +170,14 @@ def parse_presentation(text: str) -> GroupPresentation:
             if gens is None:
                 raise ParseError("line %d: rel before gens" % lineno)
             try:
-                w = Word.from_pairs(_parse_token(t, gen_index) for t in rest)
+                relators.append(Word.from_pairs(_parse_token(t, gen_index) for t in rest))
             except ParseError as exc:
                 raise ParseError("line %d: %s" % (lineno, exc))
-            if w.is_empty():
-                warnings.append("line %d: relator reduces to the empty word" % lineno)
-            relators.append(w)
         else:
             raise ParseError("line %d: expected 'gens' or 'rel', got %r" % (lineno, head))
     if gens is None:
         raise ParseError("no gens line found")
-    return GroupPresentation(tuple(gens), tuple(relators), tuple(warnings))
+    return GroupPresentation(tuple(gens), tuple(relators))
 
 
 def serialize_presentation(p: GroupPresentation) -> str:
@@ -261,9 +255,6 @@ def fox_matrix(p: GroupPresentation) -> FoxMatrix:
     ab = abelianize(p)
     n = ab.b1
     g = len(p.generators)
-    warnings = ()
-    if n == 0:
-        warnings = ("abelianization has rank 0; Fox entries are integers",)
     rows = []
     zero = LaurentPoly.zero(n)
     for r in p.relators:
@@ -276,7 +267,7 @@ def fox_matrix(p: GroupPresentation) -> FoxMatrix:
             runs[gen].append((base, img, abs(e), sign))
             prefix = after
         rows.append(tuple(LaurentPoly._from_runs(n, rs) if rs else zero for rs in runs))
-    return p._remember("fox", FoxMatrix(tuple(rows), ab, warnings))
+    return p._remember("fox", FoxMatrix(tuple(rows), ab))
 
 
 # -- free products ---------------------------------------------------------------

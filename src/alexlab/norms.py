@@ -44,17 +44,14 @@ class FiberedDatum(Value):
 
 
 class McMullenEntry(Value):
-    """`status` is PASS or FAIL."""
+    """One datum's class (a tuple of ints), Thurston value and fibered flag,
+    its Alexander norm, and `status` PASS or FAIL with the reason."""
 
-    __slots__ = _fields = ("datum", "alexander", "status", "reason")
+    __slots__ = _fields = ("phi", "thurston", "fibered", "alexander", "status", "reason")
 
 
 class McMullenReport(Value):
-    __slots__ = _fields = ("entries",)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(e.status == "PASS" for e in self.entries)
+    __slots__ = _fields = ("delta", "entries", "all_pass")
 
 
 def alexander_norm(delta: LaurentPoly, phi: CohomologyClass) -> int:
@@ -205,18 +202,14 @@ def mcmullen_check(delta: LaurentPoly, data) -> McMullenReport:
     for d in data:
         a = alexander_norm(delta, d.phi)
         if a > d.thurston:
-            entries.append(
-                McMullenEntry(d, a, "FAIL", "alexander %d > thurston %d" % (a, d.thurston))
-            )
+            status, reason = "FAIL", "alexander %d > thurston %d" % (a, d.thurston)
         elif d.fibered and a != d.thurston:
-            entries.append(
-                McMullenEntry(
-                    d, a, "FAIL", "fibered class: alexander %d != thurston %d" % (a, d.thurston)
-                )
-            )
+            status, reason = "FAIL", "fibered class: alexander %d != thurston %d" % (a, d.thurston)
         else:
-            entries.append(McMullenEntry(d, a, "PASS", "ok"))
-    return McMullenReport(tuple(entries))
+            status, reason = "PASS", "ok"
+        entries.append(McMullenEntry(d.phi.phi, d.thurston, d.fibered, a, status, reason))
+    all_pass = all(e.status == "PASS" for e in entries)
+    return McMullenReport(delta, tuple(entries), all_pass)
 
 
 def parse_thurston_data(text: str) -> list[FiberedDatum]:

@@ -761,7 +761,7 @@ def test_tietze_sequences_keep_invariants(entry, moves, nums):
 
 def _fresh(p: GroupPresentation) -> GroupPresentation:
     """A new presentation object equal to p, with no analysis kept on it."""
-    return GroupPresentation(p.generators, p.relators, p.warnings)
+    return GroupPresentation(p.generators, p.relators)
 
 
 def test_reduction_runs_once_per_fox_matrix(monkeypatch):

@@ -310,6 +310,9 @@ GOLDENS = {
     "test_qp_solbundle.txt": ["test", "qp", "solbundle.fp"],
     "sum_sol_rp3.txt": ["sum", "solbundle.fp", "rp3.fp"],
     "mcmullen_whitehead.txt": ["mcmullen", "wh.fp", "--data", "thurston.dat"],
+    # A fibered class whose Alexander norm is below its Thurston value.
+    "mcmullen_fibered_fail.json": ["mcmullen", "wh.fp", "--data", "fibered.dat", "--machine"],
+    "mcmullen_fibered_fail.txt": ["mcmullen", "wh.fp", "--data", "fibered.dat"],
     "abelianize_trefoil.txt": ["abelianize", "trefoil.fp"],
     # A 300-term univariate Delta, a multivariate one with b1 = 3, and a
     # file name that needs JSON escaping (non-ASCII, astral, quote, backslash).
@@ -329,6 +332,7 @@ def golden_inputs(tmp_path, monkeypatch):
     (tmp_path / "rp3.fp").write_text("gens x\nrel x^2\n")
     (tmp_path / "wh.fp").write_text(fpgroup.serialize_presentation(WHITEHEAD.presentation))
     (tmp_path / "thurston.dat").write_text(THURSTON_DAT)
+    (tmp_path / "fibered.dat").write_text("phi 1 1 thurston 3 fibered 1\n")
     (tmp_path / "long.fp").write_text("gens a b\nrel a^300 b^-300\n")
     (tmp_path / "three_trefoils.fp").write_text(
         "gens a b c d e f\nrel a^2 b^-3\nrel c^2 d^-3\nrel e^2 f^-3\n"
@@ -522,6 +526,20 @@ def test_cv_order_limit_exit_code(capsys, trefoil_file):
         code, out, err = run_cli(capsys, "cv", trefoil_file, "--rho", "1/%d" % m)
         assert (code, err) == (0, ""), m
         assert out.startswith("dim: ")
+
+
+def test_rational_with_exponent_exit_code(capsys, trefoil_file):
+    # Fraction("1e10000000") expands to ten million digits (about 14 s), so
+    # an exponent is a parse error at once, in --rho and in a torus translate.
+    for argv in (
+        ["cv", trefoil_file, "--rho", "1e1000"],
+        ["tori", "intersect", "--t1", "n=1;q=(1e1000)", "--t2", "n=1"],
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, ""), argv
+        assert err.count("\n") == 1, argv
 
 
 def test_internal_error_exit_code(capsys, trefoil_file, monkeypatch):
@@ -795,7 +813,8 @@ FUZZ_WORDS = [
     "FILE", "FILE", "-h", "--", "--machine", "--machine=x", "--k", "--kmax", "--rho",
     "--phi", "--data", "--t1", "--t2", "--matrix", "--p", "--q", "--rank", "--image",
     "--rh", "--km", "--mach", "--k=1", "--rho=-1/6", "1/6", "-1/6", "1/0", "0", "1", "2",
-    "-1", "1.5", "kahler", "qp", "1,0", "n=2;rows=(1,0)", "n=1;q=(1/2)", "2,1,1,1", "x1 x2",
+    "-1", "1.5", "1e9", "1E-2", "1e100000000", "kahler", "qp", "1,0", "n=2;rows=(1,0)",
+    "n=1;q=(1/2)", "2,1,1,1", "x1 x2",
 ]
 
 

@@ -1,10 +1,10 @@
 """The value and report classes against `@dataclass(frozen=True)` twins.
 
 Each class subclasses `alexlab._value.Value` and lists its fields in
-`_fields`, the compared ones in `_compared` when not all of them.  Its twin
-is built here from that spec with `dataclasses.make_dataclass`, as the class
-was declared before `Value`: equality, hashing, repr and refused assignment
-must match the twin's on objects from the corpus."""
+`_fields`.  Its twin is built here from that spec with
+`dataclasses.make_dataclass`, as the class was declared before `Value`:
+equality, hashing, repr and refused assignment must match the twin's on
+objects from the corpus."""
 
 import copy
 import dataclasses
@@ -32,9 +32,7 @@ def _value_classes():
 
 
 def _twin(cls):
-    compared = cls._compared or cls._fields
-    spec = [(name, object, dataclasses.field(compare=name in compared)) for name in cls._fields]
-    twin = dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
+    twin = dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)
     twin.__qualname__ = cls.__qualname__
     return twin
 
@@ -107,18 +105,14 @@ def test_equality_hash_repr_and_assignment_match_the_dataclass_twin(cls):
         assert (x != y) is (as_twin(x) != as_twin(y))
 
 
-def test_warnings_and_filled_memos_stay_out_of_equality():
+def test_filled_memos_stay_out_of_equality():
     p = TREFOIL.presentation
-    q = fpgroup.GroupPresentation(p.generators, p.relators, ("a warning",))
-    assert p.warnings != q.warnings
-    assert q == p and hash(q) == hash(p)
-    assert "warnings=('a warning',)" in repr(q)
     F = fpgroup.fox_matrix(p)
     alexinv.first_order(F)
     assert p.fox is F and F.reduced is not None and F.reduced.orders
     fresh = fpgroup.GroupPresentation(p.generators, p.relators)
     assert fresh.fox is None and fresh == p and hash(fresh) == hash(p)
-    G = fpgroup.FoxMatrix(F.entries, F.abelianization, ("w",))
+    G = fpgroup.FoxMatrix(F.entries, F.abelianization)
     assert G.reduced is None and G == F and hash(G) == hash(F)
     assert "fox" not in repr(p) and "reduced" not in repr(F)
 
