@@ -5,30 +5,27 @@ limit exceeded, 3 invalid mathematical input, 4 internal error (any other
 exception, reported on one stderr line).  Every sub-command accepts --machine
 for a deterministic single-line JSON document; where a command returns a
 report class, its `result` object uses the names in that class's field
-tuple (`_fields`).
-One encoder writes that line straight from the reports and polynomials,
-with no document tree built first; its bytes are those of json.dumps with
-sorted keys and compact separators.
+tuple (`_fields`), and its bytes are those of json.dumps with sorted keys and
+compact separators.
+
+An option is `--opt value` or `--opt=value`, named in full or by a unique
+prefix, anywhere among the positionals.  A value may be a negative number
+(`--kmax -2`) but no other word that starts with "-": write `--rho=-1/6`.
+A repeated option keeps its last value; --image collects every value.
+After `--` every word is a positional.
 """
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
+from types import SimpleNamespace
 
 from . import alexinv, builders, fpgroup, laurent, norms, obstruct, torusgeo
 from ._value import Value
 from .errors import AlexlabError, LimitError, ParseError
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; 2 is reserved for
-    # computation limits here, so route usage problems through ParseError.
-    def error(self, message):
-        raise ParseError(message)
 
 
 def _read_file(path: str) -> str:
@@ -62,6 +59,7 @@ def _csv_fractions(text: str) -> list[Fraction]:
 
 
 _TUPLE_RE = re.compile(r"\(([^()]*)\)")
+TORUS_MAX_RANK = 10_000  # the largest ambient rank of a torus spec
 
 
 def parse_torus_spec(text: str) -> torusgeo.TranslatedTorus:
@@ -80,7 +78,11 @@ def parse_torus_spec(text: str) -> torusgeo.TranslatedTorus:
     try:
         n = int(fields["n"])
     except ValueError:
+        n = -1
+    if n < 0:
         raise ParseError("bad ambient rank %r" % fields["n"])
+    if n > TORUS_MAX_RANK:  # checked before the n translate entries are made
+        raise LimitError("ambient rank %d is over %d" % (n, TORUS_MAX_RANK))
     rows = [_csv_ints(group) for group in _TUPLE_RE.findall(fields.get("rows", ""))]
     translate = [Fraction(0)] * n
     if fields.get("q"):
@@ -379,185 +381,168 @@ def _cmd_mcmullen(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- wiring -----------------------------------------------------------------------
-
-
-def _leaf(sub, name: str, func, *positionals, help=None, **options):
-    """Add the sub-command `name`, run by `func`: its positionals in order
-    (a name, or a (name, add_argument kwargs) pair), then `--<key>` for each
-    option with its kwargs, then --machine."""
-    sp = sub.add_parser(name) if help is None else sub.add_parser(name, help=help)
-    for pos in positionals:
-        dest, kw = (pos, {}) if isinstance(pos, str) else pos
-        sp.add_argument(dest, **kw)
-    for key, kw in options.items():
-        sp.add_argument("--" + key, **kw)
-    sp.add_argument("--machine", action="store_true", help="emit a JSON document")
-    sp.set_defaults(func=func)
-
+# -- reading argv -----------------------------------------------------------------
 
 _REQUIRED_INT = dict(type=int, required=True)
 _KMAX = dict(type=int, default=obstruct.DEFAULT_KMAX)
 
-
-def _wire_tori(sub, name):
-    sp = sub.add_parser(name, help="translated subtorus geometry")
-    tsub = sp.add_subparsers(dest="tori_command", required=True)
-    _leaf(
-        tsub, "intersect", _cmd_tori,
-        t1=dict(required=True, help="e.g. n=2;rows=(1,0);q=(1/2,0)"),
-        t2=dict(required=True),
-    )
-
-
-def _wire_build(sub, name):
-    sp = sub.add_parser(name, help="construct corpus presentations")
-    bsub = sp.add_subparsers(dest="family", required=True)
-    _leaf(bsub, "torusbundle", _cmd_build, matrix=dict(required=True, help="a11,a12,a21,a22"))
-    _leaf(bsub, "torusknot", _cmd_build, p=_REQUIRED_INT, q=_REQUIRED_INT)
-    _leaf(
-        bsub, "freebycyclic", _cmd_build, rank=_REQUIRED_INT,
-        image=dict(action="append", help="word over x1..xm, repeatable"),
-    )
-
-
-# The top-level commands in help order.  A single-level command is plain
-# data, (help, positionals, options) in `_leaf`'s terms, run by the function
-# `_cmd_<name>` (looked up at each call); `tori` and `build` nest further,
-# so each is a function that adds itself to the sub-command action `sub`.
+# The commands in help order: a leaf is (help, positionals, options), a nest
+# (help, dest, sub-commands) stores its sub-command's name under dest, and
+# `_cmd_<name>` runs each.  Positionals and options map names to argparse's
+# add_argument kwargs (the tests' reference parser); leaves take --machine.
 _COMMANDS = {
-    "abelianize": ("b1, torsion, generator images", ("file",), {}),
-    "delta": ("k-th order polynomial of the Fox matrix", ("file",), dict(k=_REQUIRED_INT)),
-    "thickness": ("Newton dimension of the first order", ("file",), {}),
+    "abelianize": ("b1, torsion, generator images", dict(file={}), {}),
+    "delta": ("k-th order polynomial of the Fox matrix", dict(file={}), dict(k=_REQUIRED_INT)),
+    "thickness": ("Newton dimension of the first order", dict(file={}), {}),
     "norm": (
-        "Alexander norm of a cohomology class", ("file",),
+        "Alexander norm of a cohomology class", dict(file={}),
         dict(phi=dict(required=True, help="comma-separated integers")),
     ),
-    "ball": ("support polytope of the first order", ("file",), {}),
+    "ball": ("support polytope of the first order", dict(file={}), {}),
     "cv": (
-        "twisted homology dimension at a character", ("file",),
+        "twisted homology dimension at a character", dict(file={}),
         dict(
-            rho=dict(
-                required=True,
-                help="comma-separated rationals; write a leading minus as --rho=-1/6 (or 5/6)",
-            ),
-            k=dict(type=int, default=None, help="report V_k up to this k"),
+            rho=dict(required=True, help="comma-separated rationals; write -1/6 as --rho=-1/6"),
+            k=dict(type=int, help="report V_k up to this k"),
         ),
     ),
     "test": (
         "Kahler / quasi-projective necessary conditions",
-        (("which", dict(choices=("kahler", "qp"))), "file"), dict(kmax=_KMAX),
+        dict(which=dict(choices=("kahler", "qp")), file={}), dict(kmax=_KMAX),
     ),
     "sum": (
-        "free product analysis of several groups", (("files", dict(nargs="+")),),
-        dict(kmax=_KMAX),
+        "free product analysis of several groups", dict(files=dict(nargs="+")), dict(kmax=_KMAX),
     ),
-    "tori": _wire_tori,
-    "build": _wire_build,
+    "tori": ("translated subtorus geometry", "tori_command", {
+        "intersect": ("intersection of two translated subtori", {}, dict(
+            t1=dict(required=True, help="e.g. n=2;rows=(1,0);q=(1/2,0)"), t2=dict(required=True),
+        )),
+    }),
+    "build": ("construct corpus presentations", "family", {
+        "torusbundle": (
+            "torus bundle of a 2x2 monodromy", {},
+            dict(matrix=dict(required=True, help="a11,a12,a21,a22")),
+        ),
+        "torusknot": ("torus knot group", {}, dict(p=_REQUIRED_INT, q=_REQUIRED_INT)),
+        "freebycyclic": ("free-by-cyclic group", {}, dict(
+            rank=_REQUIRED_INT, image=dict(action="append", help="word over x1..xm, repeatable"),
+        )),
+    }),
     "mcmullen": (
-        "compare against supplied Thurston data", ("file",), dict(data=dict(required=True)),
+        "compare against supplied Thurston data", dict(file={}), dict(data=dict(required=True)),
     ),
 }
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The argparse parser for `argv`: the top level and only the command
-    that argv[0] names.  Any other argv (no arguments, -h, an unknown
-    command) gets every command, since the top-level help and its "invalid
-    choice" message list them all; a leaf's own help and errors do not
-    depend on its siblings.  `run` builds it only for an argv that
-    `_read_plain` declines."""
-    ap = _Parser(prog="alexlab", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-    for name in names:
-        entry = _COMMANDS[name]
-        if callable(entry):
-            entry(sub, name)
-        else:
-            text, positionals, options = entry
-            _leaf(sub, name, globals()["_cmd_" + name], *positionals, help=text, **options)
-    return ap
+def _is_option(word: str) -> bool:
+    """Whether `word` starts with "-" and is neither "-" nor, as argparse
+    has it, a negative number."""
+    return word[:1] == "-" and word != "-" and not re.fullmatch(r"-\d+|-\d*\.\d+", word)
 
 
-def _value(kw: dict, text: str):
-    """`text` as argparse stores it for an argument with add_argument kwargs
-    `kw`; ValueError where argparse would refuse it (a failed `type`, a bad
-    choice) or would take more than this one value (`nargs`)."""
-    if "nargs" in kw:
-        raise ValueError(text)
-    value = kw["type"](text) if "type" in kw else text
+def _option(word: str, names) -> tuple:
+    """(name, the text after "=" or None) of an option word: -h, or --<name>
+    for one of `names`, in full or by a unique prefix."""
+    key, eq, text = word.partition("=")
+    key = "--help" if key == "-h" else key
+    hits = [name for name in names if key[:2] == "--" and name.startswith(key[2:])]
+    if key[2:] in hits:
+        hits = [key[2:]]
+    if len(hits) != 1:
+        raise ParseError("%s option: %s" % ("ambiguous" if hits else "unrecognized", word))
+    return hits[0], text if eq else None
+
+
+def _convert(name: str, kw: dict, text):
+    """`text` as the argument `name`, with add_argument kwargs `kw`, keeps it."""
+    try:
+        value = kw["type"](text) if "type" in kw else text
+    except ValueError:
+        raise ParseError("argument %s: invalid int value: %r" % (name, text))
     if "choices" in kw and value not in kw["choices"]:
-        raise ValueError(text)
+        raise ParseError("argument %s: %r is not in %s" % (name, text, ", ".join(kw["choices"])))
     return value
 
 
-def _read_plain(argv):
-    """The namespace that argparse gives for `argv`, read straight from the
-    spec in `_COMMANDS`, when argv is plainly valid for a single-level
-    command: exact option names, each at most once, as `--opt value` or
-    `--opt=value`; values that convert and pass their choices; every
-    positional and required option present.  None for anything argparse
-    has to judge (help, `--`, an abbreviation, a value starting with `-`
-    unless written `--opt=value`, `sum`'s list, a nested or unknown
-    command), and `run` then parses argv with argparse."""
-    spec = _COMMANDS.get(argv[0]) if argv else None
-    if not isinstance(spec, tuple):
-        return None
+def _help(usage: str, spec) -> str:
+    """The -h text of `spec`, the command that `usage` ("alexlab" and the
+    words that chose it) names."""
+    text, middle, table = spec
+    usage += " [-h]"
+    if isinstance(middle, str):
+        usage += " {%s} ..." % ",".join(table)
+        rows = [(name, dict(help=sub[0])) for name, sub in table.items()]
+    else:
+        for dest, kw in middle.items():
+            usage += " {%s}" % ",".join(kw["choices"]) if "choices" in kw else " " + dest
+            usage += "..." if "nargs" in kw else ""
+        rows = [("--%s %s" % (key, key.upper()), kw) for key, kw in table.items()]
+        rows.append(("--machine", dict(help="emit a JSON document")))
+        usage += "".join(" " + row if kw.get("required") else " [%s]" % row for row, kw in rows)
+    rows = "".join(("  %-15s%s" % (row, kw.get("help", ""))).rstrip() + "\n" for row, kw in rows)
+    return "usage: %s\n\n%s\n\n%s" % (usage, text.strip(), rows)
+
+
+def read_argv(argv):
+    """The namespace of the command that `argv` names, read from its spec in
+    `_COMMANDS` as the module docstring says, with the function that runs
+    it as `func`; None once -h has printed that command's help.  Every
+    usage error raises ParseError."""
+    ns, usage, spec = SimpleNamespace(machine=False), "alexlab", (__doc__, "command", _COMMANDS)
+    given, words, rest = {}, [], iter(argv)
+    for word in rest:
+        nest = isinstance(spec[1], str)  # the next word names a sub-command
+        if word == "--":
+            words.extend(rest)
+        elif nest and not _is_option(word):
+            setattr(ns, spec[1], _convert(spec[1], dict(choices=spec[2]), word))
+            usage, spec = usage + " " + word, spec[2][word]
+        elif not _is_option(word):
+            words.append(word)
+        else:
+            name, text = _option(word, ["help"] if nest else [*spec[2], "machine", "help"])
+            if name in ("help", "machine") and text is not None:
+                raise ParseError("argument --%s: ignored explicit argument %r" % (name, text))
+            if name == "help":
+                sys.stdout.write(_help(usage, spec))
+                return None
+            if name == "machine":
+                ns.machine = True
+                continue
+            if text is None:
+                text = next(rest, "--")
+                if _is_option(text):
+                    raise ParseError("argument --%s: expected one argument" % name)
+            value = _convert("--" + name, spec[2][name], text)
+            given[name] = given.get(name, []) + [value] if "action" in spec[2][name] else value
+    if isinstance(spec[1], str):
+        raise ParseError("%s needs a command: %s" % (usage, ", ".join(spec[2])))
     _, positionals, options = spec
-    words, given, machine = [], {}, False
-    rest = iter(argv[1:])
-    for tok in rest:
-        if tok[:1] != "-":
-            words.append(tok)
-            continue
-        if tok == "--machine" and not machine:
-            machine = True
-            continue
-        key, eq, text = tok[2:].partition("=")
-        if tok[:2] != "--" or key not in options or key in given:
-            return None
-        if not eq:
-            text = next(rest, "-")
-            if text[:1] == "-":
-                return None
-        elif not text:
-            return None
-        given[key] = text
-    if len(words) != len(positionals):
-        return None
-    ns = argparse.Namespace(command=argv[0], func=globals()["_cmd_" + argv[0]], machine=machine)
-    try:
-        for pos, text in zip(positionals, words):
-            dest, kw = (pos, {}) if isinstance(pos, str) else pos
-            setattr(ns, dest, _value(kw, text))
-        for key, kw in options.items():
-            if key in given:
-                setattr(ns, key, _value(kw, given[key]))
-            elif kw.get("required"):
-                return None
-            else:
-                setattr(ns, key, kw.get("default"))
-    except ValueError:
-        return None
+    for i, (dest, kw) in enumerate(positionals.items()):
+        if i == len(words):
+            raise ParseError("the following arguments are required: %s" % dest)
+        if "nargs" in kw:  # one or more: the last positional takes every word left
+            words[i:] = [words[i:]]
+        setattr(ns, dest, _convert(dest, kw, words[i]))
+    if len(words) > len(positionals):
+        raise ParseError("unrecognized arguments: %s" % " ".join(words[len(positionals):]))
+    for key, kw in options.items():
+        if key not in given and kw.get("required"):
+            raise ParseError("the following arguments are required: --%s" % key)
+        setattr(ns, key, given.get(key, kw.get("default")))
+    ns.func = globals()["_cmd_" + ns.command]
     return ns
 
 
 def run(argv=None) -> int:
-    """Run one command and return its exit code (see the module docstring).
-    A plainly valid argv is read from its command's spec by `_read_plain`;
-    any other (help, a usage error, `sum`, `tori`, `build`) goes to the
-    argparse parser of `build_parser`, which words every help text and
-    usage error.  Any failure is one line on stderr."""
+    """Run one command and return its exit code (see the module docstring):
+    `read_argv` reads argv, or prints the help and the code is 0, and the
+    command runs on what it read.  Any failure is one line on stderr."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _read_plain(argv)
-        if args is None:
-            try:
-                args = build_parser(argv).parse_args(argv)
-            except SystemExit as exc:  # -h printed the help; argparse exits 0
-                return exc.code
-        sys.stdout.write(args.func(args))
+        args = read_argv(argv)
+        if args is not None:
+            sys.stdout.write(args.func(args))
         return 0
     except ParseError as exc:
         code, message = 1, "error: %s" % exc

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import pathlib
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -126,8 +128,8 @@ def test_cv(capsys, trefoil_file):
 
 
 def test_cv_negative_rho_needs_the_equals_form(capsys, trefoil_file):
-    # argparse reads a separate "-1/6" as an option, so the help text says
-    # to write --rho=-1/6; rationals are taken mod 1, so it is 5/6.
+    # A separate "-1/6" is read as an option, so the help text says to
+    # write --rho=-1/6; rationals are taken mod 1, so it is 5/6.
     code, out, err = run_cli(capsys, "cv", trefoil_file, "--rho", "-1/6")
     assert (code, out) == (1, "")
     assert "expected one argument" in err
@@ -175,6 +177,18 @@ def test_tori_cli_same_torus_two_ways_is_parallel(capsys):
     )
     assert code == 0
     assert out == "meets: yes\ndim: 2\nparallel: yes\n"
+
+
+def test_torus_rank_is_checked_before_the_translate_is_built(capsys):
+    # A negative rank is a parse error and one past the bound a limit, each
+    # found before the n translate entries are made.
+    cases = (("-1", 1, "error: bad ambient rank"), ("10001", 2, "limit exceeded: "))
+    for rank, code, first in cases:
+        start = time.perf_counter()
+        got, out, err = run_cli(capsys, "tori", "intersect", "--t1", "n=" + rank, "--t2", "n=1")
+        assert time.perf_counter() - start < 1
+        assert (got, out, err.count("\n")) == (code, "", 1), err
+        assert err.startswith(first), err
 
 
 def test_build_round_trip(capsys, tmp_path):
@@ -577,7 +591,7 @@ def test_non_utf8_file_exits_1(capsys, tmp_path, trefoil_file):
     assert err.startswith("error: cannot read %s: " % data)
 
 
-# -- the parser: one leaf per command, the full tree for help and usage errors --
+# -- help and usage errors ----------------------------------------------------------
 
 COMMANDS = (
     "abelianize", "delta", "thickness", "norm", "ball", "cv",
@@ -608,97 +622,129 @@ PARSER_ARGVS = (
 
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
 def test_lazy_parser_matches_full_tree(capsys, monkeypatch, tmp_path, argv):
-    monkeypatch.setenv("COLUMNS", "80")
+    # A help argv prints the usage to stdout and exits 0; every other argv
+    # here is one error line on stderr with exit 1.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "trefoil.fp").write_text(TREFOIL_FP)
-    lazy = run_cli(capsys, *argv)
-    full_tree = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv=(): full_tree())
-    assert run_cli(capsys, *argv) == lazy
-    code, out, err = lazy
-    if "-h" in argv:  # run returns the help's exit code instead of raising SystemExit
+    code, out, err = run_cli(capsys, *argv)
+    if "-h" in argv:  # run returns the help's exit code
         assert (code, err) == (0, "") and out.startswith("usage: alexlab")
         assert argv != ["-h"] or all(c in out for c in COMMANDS)
     else:
         assert (code, out) == (1, "") and err.startswith("error: ")
+        assert err.count("\n") == 1
 
 
-def test_cv_request_adds_one_leaf(capsys, monkeypatch, trefoil_file):
-    # A plainly valid cv argv is read from its spec and builds no parser;
-    # one that argparse has to judge (the abbreviation --rh) builds the cv
-    # leaf alone and gives the same output.
-    built, leaves = [], []
-    real_build, real_leaf = cli.build_parser, cli._leaf
-
-    def counting_build(argv=()):
-        built.append(list(argv))
-        return real_build(argv)
-
-    def counting_leaf(sub, name, *args, **kwargs):
-        leaves.append(name)
-        real_leaf(sub, name, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "build_parser", counting_build)
-    monkeypatch.setattr(cli, "_leaf", counting_leaf)
+def test_cv_abbreviation_prints_as_the_full_name(capsys, trefoil_file):
     plain = run_cli(capsys, "cv", trefoil_file, "--rho", "1/6")
     assert plain == (0, "dim: 1\nV_1: yes\n", "")
-    assert (built, leaves) == ([], [])
     assert run_cli(capsys, "cv", trefoil_file, "--rh", "1/6") == plain
-    assert (built, leaves) == ([["cv", trefoil_file, "--rh", "1/6"]], ["cv"])
 
 
-# -- the plain reader against argparse ---------------------------------------
+# -- the reader against an argparse reference ---------------------------------------
 
-# The commands that `_read_plain` reads: single-level, and not `sum`,
-# whose list of files it leaves to argparse.
-READ = [name for name, spec in cli._COMMANDS.items() if isinstance(spec, tuple) and name != "sum"]
+
+class _Refusing(argparse.ArgumentParser):
+    def error(self, message):
+        raise ParseError(message)
+
+
+def _add_spec(parser, spec, func=None):
+    """Add a spec of `cli._COMMANDS` to an argparse parser: a nest as
+    sub-parsers, a leaf as its arguments, --machine and `func`."""
+    _, middle, table = spec
+    if isinstance(middle, str):
+        sub = parser.add_subparsers(dest=middle, required=True)
+        for name, child in table.items():
+            _add_spec(sub.add_parser(name), child, func or getattr(cli, "_cmd_" + name))
+        return
+    for dest, kw in middle.items():
+        parser.add_argument(dest, **kw)
+    for key, kw in table.items():
+        parser.add_argument("--" + key, **kw)
+    parser.add_argument("--machine", action="store_true")
+    parser.set_defaults(func=func)
+
+
+# The reference implementation: the argparse parser that `_COMMANDS` describes.
+REFERENCE = _Refusing(prog="alexlab")
+_add_spec(REFERENCE, ("", "command", cli._COMMANDS))
+
+
+def _leaves(table, path=()):
+    for name, spec in table.items():
+        if isinstance(spec[1], str):
+            yield from _leaves(spec[2], path + (name,))
+        else:
+            yield path + (name,), spec
+
+
+# Every command that runs, by its words: `sum`, `tori intersect` and the
+# `build` families too.
+LEAVES = dict(_leaves(cli._COMMANDS))
+NESTS = [(name,) for name, spec in cli._COMMANDS.items() if isinstance(spec[1], str)]
 
 
 def _options_where(test):
-    return [name for name in READ if any(test(k, kw) for k, kw in cli._COMMANDS[name][2].items())]
+    return [path for path, spec in LEAVES.items() if any(test(k, kw) for k, kw in spec[2].items())]
 
 
 # Each way to spoil a valid argv, with the commands it can spoil (default:
-# every command, nested and unknown ones too).  The first group must be
-# declined by `_read_plain` whatever the rest of argv is; argparse judges
-# the second.
-DECLINED = (
+# every command, nests and an unknown one too).
+MUTATIONS = (
     "abbreviation", "repeat", "help", "double_dash", "single_dash", "unknown_option",
     "negative", "empty_value", "no_value", "machine_value",
-)
-MUTATIONS = DECLINED + (
     "non_integer", "bad_choice", "drop_positional", "extra_positional", "drop_required",
 )
 TARGETS = {
     "abbreviation": _options_where(lambda key, kw: len(key) > 1),
+    "repeat": _options_where(lambda key, kw: True),
     "non_integer": _options_where(lambda key, kw: kw.get("type") is int),
-    "bad_choice": ["test"],
+    "bad_choice": [("test",)],
     "drop_required": _options_where(lambda key, kw: kw.get("required")),
 }
 
+# Where the reader parts from argparse on purpose, by name: what argparse
+# gives, then what the reader gives.
+DEVIATIONS = {
+    # `sum`'s files with an option between them (`sum a.fp --kmax 2 b.fp`):
+    # argparse takes the first run of files and refuses the rest; the reader
+    # takes every file.
+    "sum_split_files": ("error", "namespace"),
+    # `--` as the last word, right after an option or its value
+    # (`delta g.fp --k 1 --`): argparse refuses that `--`; the reader ends
+    # the options there.
+    "final_double_dash": ("error", "namespace"),
+    # -h after an option that a nest does not have (`tori --machine -h`):
+    # argparse prints the help; the reader refuses the option.
+    "help_after_unknown_option": ("help", "error"),
+}
+
+
+def _option_unit(key, kw, draw):
+    """--key with a drawn value, as [--key, value] or [--key=value]."""
+    if kw.get("type") is int:
+        value = str(draw(st.integers(0, 12)))
+    else:
+        value = draw(st.sampled_from(["1/6", "1,0", "5/6", "x", "0"]))
+    return ["--%s=%s" % (key, value)] if draw(st.booleans()) else ["--" + key, value]
+
 
 def _units(spec, draw):
-    """A valid argv for a single-level `spec` as units (lists of tokens):
-    the options, each as [--key, value] or [--key=value], and the
-    positionals."""
+    """A valid argv for a leaf `spec` as units (lists of tokens): the
+    options, each as [--key, value] or [--key=value], and the positionals."""
     _, positionals, options = spec
     pos = []
-    for p in positionals:
-        kw = {} if isinstance(p, str) else p[1]
+    for kw in positionals.values():
         if "choices" in kw:
             pos.append([draw(st.sampled_from(kw["choices"]))])
         else:
             files = draw(st.lists(st.sampled_from(["g.fp", "a b.fp", "", "7"]), min_size=1, max_size=2))
             pos.extend([f] for f in (files if "nargs" in kw else files[:1]))
-    opts = []
-    for key, kw in options.items():
-        if not kw.get("required") and draw(st.booleans()):
-            continue
-        if kw.get("type") is int:
-            value = str(draw(st.integers(0, 12)))
-        else:
-            value = draw(st.sampled_from(["1/6", "1,0", "5/6", "x", "0"]))
-        opts.append(["--%s=%s" % (key, value)] if draw(st.booleans()) else ["--" + key, value])
+    opts = [
+        _option_unit(key, kw, draw)
+        for key, kw in options.items() if kw.get("required") or draw(st.booleans())
+    ]
     if draw(st.booleans()):
         opts.append(["--machine"])
     return opts, pos
@@ -728,7 +774,9 @@ def _mutate(name, options, opts, pos, draw):
         if short not in options:  # not itself an exact option
             units[0][0] = "--" + short + units[0][0][2 + len(key):]
     elif name == "repeat":
-        opts.append(list(draw(st.sampled_from(opts))) if opts else ["--machine"] * 2)
+        # An option given again, with a value of its own: the last one counts.
+        key = draw(st.sampled_from(sorted(options) + ["machine"]))
+        opts.append(["--machine"] if key == "machine" else _option_unit(key, options[key], draw))
     elif name == "non_integer":
         key = draw(st.sampled_from([k for k, kw in options.items() if kw.get("type") is int]))
         opts[:] = [u for u in opts if _key(u) != key] + [["--" + key, draw(st.sampled_from(["1.5", "one", "1/2"]))]]
@@ -754,14 +802,14 @@ def _mutate(name, options, opts, pos, draw):
 
 @st.composite
 def leaf_argv(draw):
-    """(argv, mutation): an argv valid for a command's spec, spoiled by one
-    mutation or by none; nested and unknown commands get no positionals and
-    no options but --machine."""
+    """(argv, deviation, plain): an argv valid for a command's spec, spoiled
+    by one mutation or by none; nests and an unknown command get no
+    positionals and no options but --machine.  Where argv may meet one of
+    `DEVIATIONS`, `deviation` names it and `plain` is argv with it undone
+    (or None: the reader refuses argv)."""
     mutation = draw(st.sampled_from((None,) * 3 + MUTATIONS))
-    name = draw(st.sampled_from(TARGETS.get(mutation, list(cli._COMMANDS) + ["frobnicate"])))
-    spec = cli._COMMANDS.get(name)
-    if not isinstance(spec, tuple):
-        spec = ("", (), {})
+    path = draw(st.sampled_from(TARGETS.get(mutation, list(LEAVES) + NESTS + [("frobnicate",)])))
+    spec = LEAVES.get(path, ("", {}, {}))
     opts, pos = _units(spec, draw)
     tail = _mutate(mutation, spec[2], opts, pos, draw) if mutation else []
     # Options go anywhere, positionals keep their order among themselves.
@@ -769,38 +817,67 @@ def leaf_argv(draw):
     units = opts + pos
     slots = sorted(i for i in order if i >= len(opts))
     mixed = [units[i] if i < len(opts) else units[slots.pop(0)] for i in order]
-    return [name] + [tok for unit in mixed for tok in unit] + tail, mutation
+    argv = list(path) + [tok for unit in mixed for tok in unit] + tail
+    # O an option unit, P a positional one, - the `--`; after it every word
+    # is a positional.
+    kinds = "".join(
+        "-" if unit == ["--"] else "O" if i < len(opts) else "P" for i, unit in zip(order, mixed)
+    )
+    before, dash, after = kinds.partition("-")
+    if dash and not after and before.endswith("O"):
+        return argv, "final_double_dash", argv[:-1]
+    if path == ("sum",) and re.search("P.*O.*P", before + "P" * len(after)):
+        # Before any `--`, the options first and then the files, each group
+        # in its order.
+        head = [u for u, k in zip(mixed, before) if k == "O"]
+        head += [u for u, k in zip(mixed, before) if k == "P"]
+        plain = [tok for unit in head + mixed[len(before):] for tok in unit]
+        return argv, "sum_split_files", list(path) + plain + tail
+    if path in NESTS and mutation == "help" and mixed[0] == ["--machine"]:
+        return argv, "help_after_unknown_option", None
+    return argv, None, None
 
 
-def _argparse_namespace(argv):
-    """argparse's namespace for argv, or None where it refuses or prints help."""
+def _outcome(read, argv):
+    """What `read` makes of argv: the namespace as a dict, "help" (after
+    printing the usage) or "error"."""
+    out = io.StringIO()
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return cli.build_parser(argv).parse_args(argv)
-    except (ParseError, SystemExit):
-        return None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            ns = read(argv)
+    except ParseError:
+        return "error"
+    except SystemExit:  # argparse after its help
+        ns = None
+    if ns is None:
+        assert out.getvalue().startswith("usage: alexlab")
+        return "help"
+    return vars(ns)
 
 
 @settings(max_examples=200, deadline=None)
 @given(leaf_argv())
+@example((["test", "--kmax=-2", "qp", "g.fp", "--machine"], None, None))
+@example((["test", "qp", "g.fp", "--kmax", "-2"], None, None))
+@example((["build", "torusknot", "--p", "2", "--q", "3", "--p", "5"], None, None))
+@example((["build", "freebycyclic", "--rank", "2", "--image", "x1", "--ima", "x2"], None, None))
+@example((["tori", "intersect", "--t", "n=1", "--t2", "n=1"], None, None))
+@example((["cv", "g.fp", "--rho", "-1/6"], None, None))
+@example((["cv", "g.fp", "--rho", "1/6", "--machine=x"], None, None))
+@example(
+    (["sum", "a.fp", "--kmax", "2", "b.fp"], "sum_split_files",
+     ["sum", "--kmax", "2", "a.fp", "b.fp"])
+)
+@example((["delta", "g.fp", "--k", "1", "--"], "final_double_dash", ["delta", "g.fp", "--k", "1"]))
+@example((["tori", "--machine", "-h"], "help_after_unknown_option", None))
 def test_plain_reader_agrees_with_argparse(case):
-    argv, mutation = case
-    ns = cli._read_plain(argv)
-    expected = _argparse_namespace(argv)
-    if ns is not None:
-        assert expected is not None and vars(ns) == vars(expected)
-    if mutation in DECLINED:
-        assert ns is None
-    if mutation is None and argv[0] in READ:
-        assert ns is not None  # every plainly valid argv takes the fast path
-
-
-def test_plain_reader_declines_what_argparse_words():
-    for argv in PARSER_ARGVS + [["sum", "a.fp"], ["tori", "intersect", "--t1", "n=1", "--t2", "n=1"]]:
-        assert cli._read_plain(argv) is None, argv
-    ns = cli._read_plain(["test", "--kmax=-2", "qp", "g.fp", "--machine"])
-    assert vars(ns) == vars(_argparse_namespace(["test", "--kmax=-2", "qp", "g.fp", "--machine"]))
-    assert (ns.which, ns.kmax, ns.func) == ("qp", -2, cli._cmd_test)
+    argv, deviation, plain = case
+    got, expected = _outcome(cli.read_argv, argv), _outcome(REFERENCE.parse_args, argv)
+    if got != expected:
+        assert deviation is not None, (argv, got, expected)
+        kind = got if isinstance(got, str) else "namespace"
+        assert (expected, kind) == DEVIATIONS[deviation], argv
+        assert plain is None or got == _outcome(REFERENCE.parse_args, plain), argv
 
 
 # -- the exit-code contract under random argv -----------------------------------
@@ -814,7 +891,7 @@ FUZZ_WORDS = [
     "--phi", "--data", "--t1", "--t2", "--matrix", "--p", "--q", "--rank", "--image",
     "--rh", "--km", "--mach", "--k=1", "--rho=-1/6", "1/6", "-1/6", "1/0", "0", "1", "2",
     "-1", "1.5", "1e9", "1E-2", "1e100000000", "kahler", "qp", "1,0", "n=2;rows=(1,0)",
-    "n=1;q=(1/2)", "2,1,1,1", "x1 x2",
+    "n=1;q=(1/2)", "n=100000000", "2,1,1,1", "x1 x2",
 ]
 
 
@@ -830,8 +907,9 @@ def fuzz_file(fuzz_dir):
     return str(f)
 
 
-# Numbers stay small: huge --rank, --kmax or torus ranks are work budgets
-# (ROADMAP item 1), not the exit-code contract.
+# Numbers stay small, but for a torus rank past `cli.TORUS_MAX_RANK`, which
+# exits 2 at once: a huge --rank or --kmax is a work budget (ROADMAP item 1),
+# not the exit-code contract.
 @settings(max_examples=120, deadline=None)
 @given(
     st.sampled_from(FUZZ_HEADS),

@@ -31,13 +31,13 @@ def test_public_classes_are_slotted_values():
         assert not hasattr(cls.__new__(cls), "__dict__"), cls
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+def test_importing_the_cli_loads_no_dataclasses_inspect_argparse_or_gettext():
     # -S keeps site's own imports out of the count; the path is the one
     # this alexlab was imported from.
     src = os.path.dirname(os.path.dirname(alexlab.__file__))
     code = (
         "import sys; sys.path.insert(0, %r); import alexlab.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))" % src
+        "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext'} & set(sys.modules)))" % src
     )
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
