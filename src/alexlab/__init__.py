@@ -23,7 +23,6 @@ from .fpgroup import (
     AbelianizationData,
     FoxMatrix,
     GroupPresentation,
-    Word,
     abelianize,
     fox_matrix,
     free_product,
@@ -80,7 +79,6 @@ __all__ = [
     "AbelianizationData",
     "FoxMatrix",
     "GroupPresentation",
-    "Word",
     "abelianize",
     "fox_matrix",
     "free_product",

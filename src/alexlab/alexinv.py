@@ -28,6 +28,20 @@ from .errors import DomainError, LimitError
 from .fpgroup import FoxMatrix
 from .laurent import LaurentPoly
 
+# The largest k of a listing with one value per k (`test --kmax`, `sum
+# --kmax`, `cv --k`): its size is linear in an argv number of a few bytes,
+# and from the generator count on every Delta^k is 1 and every V_k flag False.
+MAX_LISTED_K = 10_000
+
+
+def check_listed_k(kmax: int) -> None:
+    """DomainError below 0, LimitError above `MAX_LISTED_K`; every listing
+    calls this before any work."""
+    if kmax < 0:
+        raise DomainError("kmax must be nonnegative")
+    if kmax > MAX_LISTED_K:
+        raise LimitError("kmax %d is over the listing bound %d" % (kmax, MAX_LISTED_K))
+
 
 class OrderSequence(Value):
     """Delta^0 .. Delta^kmax plus k0, the first index with Delta^k != 0."""
@@ -359,8 +373,7 @@ def first_order(F: FoxMatrix) -> tuple[int, LaurentPoly]:
 
 
 def order_sequence(F: FoxMatrix, kmax: int) -> OrderSequence:
-    if kmax < 0:
-        raise DomainError("kmax must be nonnegative")
+    check_listed_k(kmax)
     k0 = F.cols - rank_over_fractions(F)
     orders = tuple(order_k(F, k) for k in range(kmax + 1))
     return OrderSequence(kmax, orders, k0)
@@ -438,8 +451,8 @@ def cv_dim(F: FoxMatrix, rho: CharacterPoint, kmax: int | None = None) -> CvRepo
     """
     if len(rho.rho) != F.nvars:
         raise DomainError("character has %d entries but b1 = %d" % (len(rho.rho), F.nvars))
-    if kmax is not None and kmax < 0:
-        raise DomainError("kmax must be nonnegative")
+    if kmax is not None:
+        check_listed_k(kmax)
     if rho.order > CV_MAX_ORDER:
         msg = "cv supports character orders up to %d (have %d)"
         raise LimitError(msg % (CV_MAX_ORDER, rho.order))

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from ._value import Value
 from .errors import DomainError
-from .fpgroup import GroupPresentation, Word
+from .fpgroup import GroupPresentation, _reduced_word
 
 
 class MonodromyMatrix(Value):
@@ -43,9 +43,9 @@ def torus_bundle(A: MonodromyMatrix) -> GroupPresentation:
     (column-action convention: conjugation by t reads off the columns)."""
     (a11, a12), (a21, a22) = A.entries
     x, y, t = 0, 1, 2
-    comm = Word.from_pairs([(x, 1), (y, 1), (x, -1), (y, -1)])
-    r1 = Word.from_pairs([(t, 1), (x, 1), (t, -1), (y, -a21), (x, -a11)])
-    r2 = Word.from_pairs([(t, 1), (y, 1), (t, -1), (y, -a22), (x, -a12)])
+    comm = [(x, 1), (y, 1), (x, -1), (y, -1)]
+    r1 = [(t, 1), (x, 1), (t, -1), (y, -a21), (x, -a11)]
+    r2 = [(t, 1), (y, 1), (t, -1), (y, -a22), (x, -a12)]
     return GroupPresentation(("x", "y", "t"), (comm, r1, r2))
 
 
@@ -53,26 +53,23 @@ def torus_knot(p: int, q: int) -> GroupPresentation:
     """<a, b | a^p b^-q>, the (p, q) torus knot group for coprime p, q."""
     if p < 1 or q < 1:
         raise DomainError("torus knot parameters must be >= 1")
-    rel = Word.from_pairs([(0, p), (1, -q)])
-    return GroupPresentation(("a", "b"), (rel,))
+    return GroupPresentation(("a", "b"), ([(0, p), (1, -q)],))
 
 
 def free_by_cyclic(images) -> GroupPresentation:
     """<x1..xm, t | t x_i t^-1 phi(x_i)^-1> for phi given by its images.
 
-    The images are Words over generator indices 0..m-1.  Whether they define
-    an automorphism of the free group is not verified (a word-problem
-    instance); the caller answers for that.
+    The images are words, each a sequence of (generator index, exponent)
+    int pairs over indices 0..m-1.  Whether they define an automorphism of
+    the free group is not verified (a word-problem instance); the caller
+    answers for that.
     """
-    images = tuple(images)
-    m = len(images)
-    for w in images:
-        if w.max_index() >= m:
-            raise DomainError("image uses an undeclared generator")
-    t = m
+    images = list(images)
+    m = t = len(images)
     relators = []
     for i, w in enumerate(images):
-        rel = Word.from_pairs([(t, 1), (i, 1), (t, -1)]) * w.inverse()
-        relators.append(rel)
+        w = _reduced_word(w, m)  # refuses any index outside 0..m-1, t's index m too
+        # t x_i t^-1 w^-1, which the constructor reduces
+        relators.append([(t, 1), (i, 1), (t, -1)] + [(g, -e) for g, e in reversed(w)])
     names = tuple("x%d" % (i + 1) for i in range(m)) + ("t",)
-    return GroupPresentation(names, tuple(relators))
+    return GroupPresentation(names, relators)

@@ -352,10 +352,7 @@ def _cmd_build(args) -> str:
                 % (len(texts), m)
             )
         names = {"x%d" % (i + 1): i for i in range(m)}
-        images = [
-            fpgroup.Word.from_pairs(fpgroup._parse_token(t, names) for t in text.split())
-            for text in texts
-        ]
+        images = [[fpgroup._parse_token(t, names) for t in text.split()] for text in texts]
         p = builders.free_by_cyclic(images)
     text = fpgroup.serialize_presentation(p)
     if args.machine:

@@ -12,7 +12,7 @@ from ._value import Value
 from .errors import DomainError, LimitError, ParseError, limit_from_env
 from .laurent import LaurentPoly
 
-_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 DEFAULT_MAX_LETTERS = 1_000_000
 
@@ -23,53 +23,37 @@ def max_fox_letters() -> int:
     return limit_from_env("ALEXLAB_MAX_LETTERS", DEFAULT_MAX_LETTERS)
 
 
-class Word(Value):
-    """Freely reduced word: (generator index, nonzero exponent) syllables,
-    adjacent syllables on distinct generators."""
-
-    __slots__ = _fields = ("syllables",)
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "Word":
-        """The reduced word of (generator index, exponent) int pairs; any
-        other entry raises DomainError, and a bool is taken as its int."""
-        out: list[list[int]] = []
-        for g, e in pairs:
-            if not (isinstance(g, int) and isinstance(e, int)):
-                raise DomainError("word syllables must be integer pairs, got %r" % ((g, e),))
-            g, e = int(g), int(e)
-            if e == 0:
-                continue
-            if out and out[-1][0] == g:
-                out[-1][1] += e
-                if out[-1][1] == 0:
-                    out.pop()
-            else:
-                out.append([g, e])
-        # out is a stack whose neighbours always differ in generator, so a
-        # cancellation at the top exposes no new adjacent pair.
-        return cls(tuple((g, e) for g, e in out))
-
-    def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
-
-    def __mul__(self, other: "Word") -> "Word":
-        return Word.from_pairs(self.syllables + other.syllables)
-
-    def abelian(self, num_gens: int) -> tuple[int, ...]:
-        v = [0] * num_gens
-        for g, e in self.syllables:
-            v[g] += e
-        return tuple(v)
-
-    def shift_indices(self, offset: int) -> "Word":
-        return Word(tuple((g + offset, e) for g, e in self.syllables))
-
-    def max_index(self) -> int:
-        return max((g for g, _ in self.syllables), default=-1)
+def _reduced_word(pairs, ngens: int) -> tuple[tuple[int, int], ...]:
+    """The freely reduced word of (generator index, exponent) int pairs, each
+    index in 0 <= g < ngens: adjacent syllables on distinct generators, no
+    zero exponent.  Any other entry raises DomainError, and a bool is taken
+    as its int."""
+    out: list[list[int]] = []
+    for g, e in pairs:
+        if not (isinstance(g, int) and isinstance(e, int)):
+            raise DomainError("word syllables must be integer pairs, got %r" % ((g, e),))
+        if not 0 <= g < ngens:
+            raise DomainError("generator index %d is out of range for %d generators" % (g, ngens))
+        g, e = int(g), int(e)
+        if e == 0:
+            continue
+        if out and out[-1][0] == g:
+            out[-1][1] += e
+            if out[-1][1] == 0:
+                out.pop()
+        else:
+            out.append([g, e])
+    # out is a stack whose neighbours always differ in generator, so a
+    # cancellation at the top exposes no new adjacent pair.
+    return tuple((g, e) for g, e in out)
 
 
 class GroupPresentation(Value):
+    """A tuple of generator names, each one that .fp text can hold, and
+    relators, each a freely reduced tuple of (generator index, nonzero
+    exponent) pairs.  The constructor takes the names as any iterable, and
+    each relator as any iterable of int pairs, which it reduces."""
+
     _fields = ("generators", "relators")
     # The memo `fox` is the abelianized Fox matrix, set by `fox_matrix` on
     # first use, so every analysis of this object shares one matrix and its
@@ -77,12 +61,14 @@ class GroupPresentation(Value):
     __slots__ = _fields + ("fox",)
 
     def __init__(self, generators, relators):
+        generators = tuple(generators)
+        for name in generators:
+            if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
+                raise DomainError("bad generator name %r" % (name,))
         if len(set(generators)) != len(generators):
             raise DomainError("duplicate generator names")
-        for r in relators:
-            if r.max_index() >= len(generators):
-                raise DomainError("relator uses an out-of-range generator index")
-        Value.__init__(self, generators, relators, None)
+        n = len(generators)
+        Value.__init__(self, generators, tuple(_reduced_word(r, n) for r in relators), None)
 
 
 class AbelianizationData(Value):
@@ -147,7 +133,7 @@ def parse_presentation(text: str) -> GroupPresentation:
     """
     gens: list[str] | None = None
     gen_index: dict = {}
-    relators: list[Word] = []
+    relators: list[list[tuple[int, int]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -158,7 +144,7 @@ def parse_presentation(text: str) -> GroupPresentation:
             if gens is not None:
                 raise ParseError("line %d: duplicate gens line" % lineno)
             for name in rest:
-                if not _NAME_RE.match(name):
+                if not _NAME_RE.fullmatch(name):
                     raise ParseError("line %d: bad generator name %r" % (lineno, name))
                 if name in gen_index:
                     raise ParseError(
@@ -170,7 +156,7 @@ def parse_presentation(text: str) -> GroupPresentation:
             if gens is None:
                 raise ParseError("line %d: rel before gens" % lineno)
             try:
-                relators.append(Word.from_pairs(_parse_token(t, gen_index) for t in rest))
+                relators.append([_parse_token(t, gen_index) for t in rest])
             except ParseError as exc:
                 raise ParseError("line %d: %s" % (lineno, exc))
         else:
@@ -185,7 +171,7 @@ def serialize_presentation(p: GroupPresentation) -> str:
     lines = ["gens" + "".join(" " + g for g in p.generators)]
     for r in p.relators:
         toks = []
-        for g, e in r.syllables:
+        for g, e in r:
             toks.append(p.generators[g] if e == 1 else "%s^%d" % (p.generators[g], e))
         lines.append("rel" + "".join(" " + t for t in toks))
     return "\n".join(lines) + "\n"
@@ -198,11 +184,13 @@ def abelianize(p: GroupPresentation) -> AbelianizationData:
     """b1, torsion invariant factors, and generator images in Z^b1, read off
     the Smith normal form of the abelianized relator matrix."""
     g = len(p.generators)
-    rows = [r.abelian(g) for r in p.relators]
     if g == 0:
         return AbelianizationData(0, (), ())
-    if not rows:
-        rows = [(0,) * g]  # a zero row keeps the SNF shapes uniform
+    # With no relator, a zero row keeps the SNF shapes uniform.
+    rows = [[0] * g for _ in p.relators] or [[0] * g]
+    for row, r in zip(rows, p.relators):
+        for gen, e in r:
+            row[gen] += e
     _, diag, V = exactla.smith_normal_form(rows)
     diag += [0] * (g - len(diag))
     free_cols = [j for j in range(g) if diag[j] == 0]
@@ -243,7 +231,7 @@ def fox_matrix(p: GroupPresentation) -> FoxMatrix:
     `fox` slot); later calls on the same object check the letter budget
     again and return the same matrix, with its reduction and orders.
     """
-    letters = sum(abs(e) for r in p.relators for _, e in r.syllables)
+    letters = sum(abs(e) for r in p.relators for _, e in r)
     limit = max_fox_letters()
     if letters > limit:
         raise LimitError(
@@ -260,7 +248,7 @@ def fox_matrix(p: GroupPresentation) -> FoxMatrix:
     for r in p.relators:
         runs = [[] for _ in range(g)]
         prefix = (0,) * n
-        for gen, e in r.syllables:
+        for gen, e in r:
             img = ab.images[gen]
             after = tuple(u + e * x for u, x in zip(prefix, img))
             base, sign = (prefix, 1) if e > 0 else (after, -1)
@@ -289,8 +277,8 @@ def free_product(p1: GroupPresentation, p2: GroupPresentation) -> GroupPresentat
         names.append(fresh)
         taken.add(fresh)
     offset = len(p1.generators)
-    relators = list(p1.relators) + [r.shift_indices(offset) for r in p2.relators]
-    return GroupPresentation(tuple(names), tuple(relators))
+    relators = list(p1.relators) + [[(g + offset, e) for g, e in r] for r in p2.relators]
+    return GroupPresentation(tuple(names), relators)
 
 
 def free_product_many(ps) -> GroupPresentation:

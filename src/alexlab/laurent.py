@@ -261,9 +261,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._items
 
-    def is_constant(self) -> bool:
-        return all(k == 0 for k, _ in self._items)
-
     def is_unit(self) -> bool:
         """Units of Z[H]: plus or minus a single monomial."""
         items = self._items

@@ -37,11 +37,6 @@ class ObstructionReport(Value):
     )
 
 
-def _check_kmax(kmax: int):
-    if kmax < 0:
-        raise DomainError("kmax must be nonnegative")
-
-
 def _order_data(F: FoxMatrix, kmax: int):
     """k0, the thickness (the Newton dimension of Delta^{k0}), and
     (k, Delta^k, its Newton dimension) for k0 <= k <= kmax, each read from
@@ -55,7 +50,7 @@ def _order_data(F: FoxMatrix, kmax: int):
 def kahler_test(p: GroupPresentation, kmax: int = DEFAULT_KMAX) -> ObstructionReport:
     """A Kahler group has even b1 and constant order polynomials, hence
     thickness 0.  Any failure is an obstruction witness."""
-    _check_kmax(kmax)
+    alexinv.check_listed_k(kmax)
     F = fox_matrix(p)
     k0, th, orders = _order_data(F, kmax)
     b1 = F.abelianization.b1
@@ -78,7 +73,7 @@ def qp_test(p: GroupPresentation, kmax: int = DEFAULT_KMAX) -> ObstructionReport
     Newton polytope is a point or a segment, carried by a cyclotomic-product
     univariate polynomial.  b1 = 2 is outside the test's hypothesis and
     reports INCONCLUSIVE."""
-    _check_kmax(kmax)
+    alexinv.check_listed_k(kmax)
     F = fox_matrix(p)
     b1 = F.abelianization.b1
     k0, th, orders = _order_data(F, kmax)
@@ -136,7 +131,7 @@ def connected_sum_report(ps, kmax: int = DEFAULT_KMAX) -> ConnectedSumReport:
     """Free product of the given presentations: factor and product first
     orders and thicknesses, the additivity and divisibility checks, and the
     quasi-projectivity test of the product."""
-    _check_kmax(kmax)
+    alexinv.check_listed_k(kmax)
     ps = list(ps)
     if len(ps) < 2:
         raise DomainError("connected sum needs at least two presentations")

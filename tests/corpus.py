@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from alexlab import (
     GroupPresentation,
     MonodromyMatrix,
-    Word,
     free_by_cyclic,
     parse_presentation,
     torus_bundle,
@@ -28,18 +27,15 @@ class Entry:
     fibered_faces: int | None = None
 
 
-def _w(*pairs) -> Word:
-    return Word.from_pairs(pairs)
+def _inverse(w):
+    return [(g, -e) for g, e in reversed(w)]
 
 
 def whitehead_presentation() -> GroupPresentation:
     # Two-bridge presentation b(8,3): <a, b | a w a^-1 w^-1>,
-    # w = b a b^-1 a^-1 b^-1 a b.
-    a = _w((0, 1))
-    b = _w((1, 1))
-    w = b * a * b.inverse() * a.inverse() * b.inverse() * a * b
-    r = a * w * a.inverse() * w.inverse()
-    return GroupPresentation(("a", "b"), (r,))
+    # w = b a b^-1 a^-1 b^-1 a b; the constructor reduces the relator.
+    w = [(1, 1), (0, 1), (1, -1), (0, -1), (1, -1), (0, 1), (1, 1)]
+    return GroupPresentation(("a", "b"), ([(0, 1)] + w + [(0, -1)] + _inverse(w),))
 
 
 TRIVIAL = Entry("trivial", GroupPresentation((), ()), b1=0)
@@ -60,11 +56,11 @@ TREFOIL = Entry("trefoil", torus_knot(2, 3), b1=1, fibered=True, fiber_chi=-1)
 T25 = Entry("torus(2,5)", torus_knot(2, 5), b1=1, fibered=True, fiber_chi=-3)
 T34 = Entry("torus(3,4)", torus_knot(3, 4), b1=1, fibered=True, fiber_chi=-5)
 KLEIN = Entry(
-    "klein", free_by_cyclic([_w((0, -1))]), b1=1, fibered=True, fiber_chi=0
+    "klein", free_by_cyclic([[(0, -1)]]), b1=1, fibered=True, fiber_chi=0
 )
 FIG8 = Entry(
     "fig8",
-    free_by_cyclic([_w((0, 1), (1, 1)), _w((1, 1), (0, 1), (1, 1))]),
+    free_by_cyclic([[(0, 1), (1, 1)], [(1, 1), (0, 1), (1, 1)]]),
     b1=1,
     fibered=True,
     fiber_chi=-1,

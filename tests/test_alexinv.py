@@ -17,7 +17,6 @@ from alexlab.alexinv import (
 from alexlab.errors import DomainError, LimitError
 from alexlab.fpgroup import (
     GroupPresentation,
-    Word,
     fox_matrix,
     free_product,
     free_product_many,
@@ -80,16 +79,17 @@ def test_thickness_examples():
 def _permute_generators(p, perm):
     gens = tuple(p.generators[i] for i in perm)
     inv = {old: new for new, old in enumerate(perm)}
-    rels = tuple(
-        Word.from_pairs((inv[g], e) for g, e in r.syllables) for r in p.relators
-    )
+    rels = tuple([(inv[g], e) for g, e in r] for r in p.relators)
     return GroupPresentation(gens, rels)
 
 
+def _inverse(w):
+    return tuple((g, -e) for g, e in reversed(w))
+
+
 def _conjugate_relator(p, idx, by):
-    w = Word.from_pairs([by])
     rels = list(p.relators)
-    rels[idx] = w * rels[idx] * w.inverse()
+    rels[idx] = (by,) + rels[idx] + _inverse((by,))
     return GroupPresentation(p.generators, tuple(rels))
 
 
@@ -536,7 +536,7 @@ def test_character_rank_of_dense_blocks(m):
 def _presentations(draw):
     g = draw(st.integers(1, 4))
     syllable = st.tuples(st.integers(0, g - 1), st.sampled_from((-2, -1, 1, 2)))
-    words = st.lists(syllable, min_size=1, max_size=6).map(Word.from_pairs)
+    words = st.lists(syllable, min_size=1, max_size=6)
     rels = draw(st.lists(words, min_size=0, max_size=g))
     return GroupPresentation(tuple("x%d" % i for i in range(g)), tuple(rels))
 
@@ -644,8 +644,7 @@ def _wirtinger_torus_2(n: int) -> GroupPresentation:
     """Wirtinger presentation of the torus knot T(2, n), n odd: one
     generator per arc, relators x_{i+1} x_i x_{i+1}^-1 x_{i+2}^-1."""
     rels = tuple(
-        Word.from_pairs([((i + 1) % n, 1), (i, 1), ((i + 1) % n, -1), ((i + 2) % n, -1)])
-        for i in range(n)
+        [((i + 1) % n, 1), (i, 1), ((i + 1) % n, -1), ((i + 2) % n, -1)] for i in range(n)
     )
     return GroupPresentation(tuple("x%d" % i for i in range(n)), rels)
 
@@ -658,13 +657,13 @@ def test_wirtinger_torus_knot_2_21():
     assert order_k(F, 2) == ONE
 
 
-def _add_generator(p: GroupPresentation, w: Word) -> GroupPresentation:
+def _add_generator(p: GroupPresentation, w) -> GroupPresentation:
     """Tietze move: a new generator y with the relator y w^-1."""
     y = len(p.generators)
     name = "y"
     while name in p.generators:
         name += "_"
-    return GroupPresentation(p.generators + (name,), p.relators + (Word(((y, 1),)) * w.inverse(),))
+    return GroupPresentation(p.generators + (name,), p.relators + (((y, 1),) + _inverse(w),))
 
 
 @settings(max_examples=60, deadline=None)
@@ -675,7 +674,7 @@ def _add_generator(p: GroupPresentation, w: Word) -> GroupPresentation:
 def test_tietze_new_generator_keeps_orders(entry, pairs):
     p = entry.presentation
     g = len(p.generators)
-    q = _add_generator(p, Word.from_pairs((i % g, e) for i, e in pairs))
+    q = _add_generator(p, [(i % g, e) for i, e in pairs])
     F, G = fox_matrix(p), fox_matrix(q)
     b1 = F.nvars
     assert G.nvars == b1
@@ -699,19 +698,19 @@ def _tietze(p: GroupPresentation, move, i, j, e, pairs) -> GroupPresentation:
     relator to act on, the move adds a generator."""
     g, rels = len(p.generators), list(p.relators)
     if move == "new generator" or not rels:
-        return _add_generator(p, Word.from_pairs((x % g, d) for x, d in pairs) if g else Word(()))
+        return _add_generator(p, [(x % g, d) for x, d in pairs] if g else [])
     i %= len(rels)
     r = rels[i]
     if move == "product":
-        rels.append(r * rels[j % len(rels)])
+        rels.append(r + rels[j % len(rels)])
     elif move == "invert":
-        rels[i] = r.inverse()
+        rels[i] = _inverse(r)
     elif move == "rotate":
-        k = j % (len(r.syllables) + 1)
-        rels[i] = Word.from_pairs(r.syllables[k:] + r.syllables[:k])
+        k = j % (len(r) + 1)
+        rels[i] = r[k:] + r[:k]
     else:
-        x = Word(((j % g, e),))
-        rels[i] = x * r * x.inverse()
+        x = ((j % g, e),)
+        rels[i] = x + r + _inverse(x)
     return GroupPresentation(p.generators, tuple(rels))
 
 

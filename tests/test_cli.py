@@ -542,6 +542,31 @@ def test_cv_order_limit_exit_code(capsys, trefoil_file):
         assert out.startswith("dim: ")
 
 
+def test_listing_bound_exit_code(capsys, trefoil_file):
+    # Each listing grows with an argv number of a few bytes: test --kmax
+    # 10^6 took 29.5 s and 884 MB, and cv --k 10^7 wrote 60 MB.
+    argvs = (
+        ["test", "qp", trefoil_file, "--kmax", "1000000"],
+        ["test", "kahler", trefoil_file, "--kmax", "1000000", "--machine"],
+        ["sum", trefoil_file, trefoil_file, "--kmax", "1000000"],
+        ["cv", trefoil_file, "--rho", "1/6", "--k", "10000000"],
+        ["cv", trefoil_file, "--rho", "0", "--k", "10000000", "--machine"],
+    )
+    for argv in argvs:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert (code, out) == (2, ""), argv
+        assert err.count("\n") == 1 and err.startswith("limit exceeded: "), argv
+    top = str(alexinv.MAX_LISTED_K)
+    for argv in (
+        ["test", "qp", trefoil_file, "--kmax", top],
+        ["cv", trefoil_file, "--rho", "1/6", "--k", top],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+
+
 def test_rational_with_exponent_exit_code(capsys, trefoil_file):
     # Fraction("1e10000000") expands to ten million digits (about 14 s), so
     # an exponent is a parse error at once, in --rho and in a torus translate.
@@ -891,7 +916,7 @@ FUZZ_WORDS = [
     "--phi", "--data", "--t1", "--t2", "--matrix", "--p", "--q", "--rank", "--image",
     "--rh", "--km", "--mach", "--k=1", "--rho=-1/6", "1/6", "-1/6", "1/0", "0", "1", "2",
     "-1", "1.5", "1e9", "1E-2", "1e100000000", "kahler", "qp", "1,0", "n=2;rows=(1,0)",
-    "n=1;q=(1/2)", "n=100000000", "2,1,1,1", "x1 x2",
+    "n=1;q=(1/2)", "n=100000000", "2,1,1,1", "x1 x2", "1000000",
 ]
 
 
@@ -907,9 +932,10 @@ def fuzz_file(fuzz_dir):
     return str(f)
 
 
-# Numbers stay small, but for a torus rank past `cli.TORUS_MAX_RANK`, which
-# exits 2 at once: a huge --rank or --kmax is a work budget (ROADMAP item 1),
-# not the exit-code contract.
+# Numbers stay small but for "1000000" and a torus rank past
+# `cli.TORUS_MAX_RANK`: a huge --kmax or --k passes `alexinv.MAX_LISTED_K`,
+# and a torus rank past its bound, each of which exits 2 at once; a huge
+# --rank without as many --image words exits 1 before any work.
 @settings(max_examples=120, deadline=None)
 @given(
     st.sampled_from(FUZZ_HEADS),

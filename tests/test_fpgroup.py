@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alexlab import fpgroup
-from alexlab.builders import torus_knot
+from alexlab.builders import free_by_cyclic, torus_knot
 from alexlab.errors import DomainError, LimitError, ParseError
 from alexlab.fpgroup import (
     AbelianizationData,
     GroupPresentation,
-    Word,
     abelianize,
     fox_matrix,
     free_product,
@@ -34,34 +33,110 @@ def assert_fox_identity(p):
         assert total.is_zero()
 
 
-# -- words ----------------------------------------------------------------------
+# -- relators ----------------------------------------------------------------------
+
+
+def _relators(*words):
+    return GroupPresentation(("a", "b", "c"), words).relators
 
 
 def test_word_free_reduction():
-    w = Word.from_pairs([(0, 1), (0, -1)])
-    assert not w.syllables
-    w = Word.from_pairs([(0, 2), (1, 1), (1, -1), (0, -2), (2, 3)])
-    assert w.syllables == ((2, 3),)
-    w = Word.from_pairs([(0, 1), (1, 2), (1, -1)])
-    assert w.syllables == ((0, 1), (1, 1))
+    assert _relators([(0, 1), (0, -1)]) == ((),)
+    assert _relators([(0, 2), (1, 1), (1, -1), (0, -2), (2, 3)]) == (((2, 3),),)
+    assert _relators([(0, 1), (1, 2), (1, -1)]) == (((0, 1), (1, 1)),)
+    # Any iterable of pairs; the stored relators are tuples.
+    assert _relators(iter([(0, 1), (2, 2)]), ((1, -1),)) == (((0, 1), (2, 2)), ((1, -1),))
 
 
 def test_word_inverse_and_product():
-    w = Word.from_pairs([(0, 2), (1, -3)])
-    assert not (w * w.inverse()).syllables
-    assert w.inverse().syllables == ((1, 3), (0, -2))
+    # free_by_cyclic's relator t x_1 t^-1 w^-1 for w = x_1^2 x_2^-3: its
+    # inverse and product are reduced by the constructor.
+    p = free_by_cyclic([[(0, 2), (1, -3)], [(1, 1), (0, 1), (0, -1)]])
+    assert p.relators == (
+        ((2, 1), (0, 1), (2, -1), (1, 3), (0, -2)),
+        ((2, 1), (1, 1), (2, -1), (1, -1)),
+    )
 
 
 def test_word_refuses_non_integer_syllables():
     # int() would truncate them, and torus_knot(2.5, 3) would build T(2, 3).
     for pairs in ([(0, 1.5)], [(1.9, 2)], [(0, "2")], [("0", 1)], [(0, 1), (1, 2.0)]):
         with pytest.raises(DomainError):
-            Word.from_pairs(pairs)
+            _relators(pairs)
     with pytest.raises(DomainError):
         torus_knot(2.5, 3)
-    w = Word.from_pairs([(True, True), (0, 2)])
-    assert w.syllables == ((1, 1), (0, 2))
-    assert all(type(x) is int for s in w.syllables for x in s)
+    (w,) = _relators([(True, True), (0, 2)])
+    assert w == ((1, 1), (0, 2))
+    assert all(type(x) is int for s in w for x in s)
+
+
+def test_negative_generator_index_is_refused():
+    # An index of -1 was read as the last generator: `rel b^2`, torsion (2,).
+    for bad in (-1, 2, 5):
+        with pytest.raises(DomainError, match="index"):
+            GroupPresentation(("a", "b"), ([(bad, 2)],))
+    with pytest.raises(DomainError, match="index"):
+        GroupPresentation(("a", "b"), ([(0, 1), (-1, 0)],))  # even with exponent 0
+    with pytest.raises(DomainError, match="index"):
+        GroupPresentation(("a", "b"), ([(7, 1), (7, -1)],))  # even if it cancels
+    with pytest.raises(DomainError, match="index"):
+        free_by_cyclic([[(-1, 1)], [(0, 1)]])
+    with pytest.raises(DomainError, match="index"):
+        free_by_cyclic([[(2, 1)], [(0, 1)]])  # t is no image letter
+
+
+def test_unreduced_relator_is_stored_reduced():
+    # Stored as given, it serialized to `rel a^0 a a^-1`, which does not
+    # parse.
+    p = GroupPresentation(("a",), ([(0, 0), (0, 1), (0, -1)], [(0, 2), (0, 0), (0, 1)]))
+    assert p.relators == ((), ((0, 3),))
+    text = serialize_presentation(p)
+    assert text == "gens a\nrel\nrel a^3\n"
+    assert parse_presentation(text) == p
+
+
+def test_generator_names_that_fp_text_cannot_hold_are_refused():
+    # ("a b",) serialized to `gens a b`, two generators.
+    for names in (("a b",), ("a", ""), ("1a",), ("a\n",), ("a#",), ("a-b",), (1,), ("a", None)):
+        with pytest.raises(DomainError, match="generator name"):
+            GroupPresentation(names, ())
+    names = ("gens", "rel", "x_1", "B2")
+    assert GroupPresentation(names, ()).generators == names
+    # Names given as a list are kept as a tuple: hashable, and equal to
+    # the parse of their text.
+    p = GroupPresentation(list(names), [[(3, 1)]])
+    assert p.generators == names and hash(p) == hash(parse_presentation(serialize_presentation(p)))
+    with pytest.raises(ParseError, match="line 2: bad generator name"):
+        parse_presentation("\ngens a 1b\n")
+
+
+_names = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True)
+
+
+@st.composite
+def _raw_presentations(draw):
+    """Valid names and raw pair lists: zero exponents and neighbours that
+    cancel or merge are drawn on purpose."""
+    names = draw(st.lists(_names, min_size=1, max_size=4, unique=True))
+    g = len(names)
+    pair = st.tuples(st.integers(0, g - 1), st.integers(-3, 3))
+    rels = []
+    for raw in draw(st.lists(st.lists(pair, max_size=6), max_size=4)):
+        if raw and draw(st.booleans()):
+            i = draw(st.integers(0, len(raw) - 1))
+            g_i, e_i = raw[i]
+            raw = raw[: i + 1] + [(g_i, -e_i), (g_i, 0)] + raw[i + 1 :]
+        rels.append(raw)
+    return GroupPresentation(tuple(names), rels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_raw_presentations())
+def test_serialize_round_trip_of_raw_pairs(p):
+    for r in p.relators:
+        assert all(e != 0 for _, e in r)
+        assert all(a[0] != b[0] for a, b in zip(r, r[1:]))
+    assert parse_presentation(serialize_presentation(p)) == p
 
 
 # -- parsing -------------------------------------------------------------------
@@ -71,7 +146,7 @@ def test_parse_basic():
     p = parse_presentation("gens a b\nrel a b a^-1 b^-1\n")
     assert p.generators == ("a", "b")
     assert len(p.relators) == 1
-    assert sum(abs(e) for _, e in p.relators[0].syllables) == 4
+    assert sum(abs(e) for _, e in p.relators[0]) == 4
 
 
 def test_parse_rel_before_gens():
@@ -82,7 +157,7 @@ def test_parse_rel_before_gens():
 def test_parse_keeps_empty_relator():
     p = parse_presentation("gens a\nrel a a^-1\n")
     assert len(p.relators) == 1
-    assert not p.relators[0].syllables
+    assert p.relators[0] == ()
 
 
 def test_parse_errors():
@@ -102,7 +177,7 @@ def test_parse_errors():
 
 def test_parse_comments_and_exponents():
     p = parse_presentation("# header\ngens a b  # trailing\nrel a^3 b^-2\n")
-    assert p.relators[0].syllables == ((0, 3), (1, -2))
+    assert p.relators[0] == ((0, 3), (1, -2))
 
 
 def test_serialize_round_trip():
@@ -196,7 +271,7 @@ def _reference_fox_matrix(p):
     for r in p.relators:
         row = [LaurentPoly.zero(n) for _ in p.generators]
         prefix = [0] * n
-        for gen, e in r.syllables:
+        for gen, e in r:
             step = 1 if e > 0 else -1
             img = ab.images[gen]
             for _ in range(abs(e)):
@@ -225,7 +300,7 @@ def test_fox_matrix_matches_per_letter_reference(case):
     # Exponents up to 6 with torsion in the abelianization (images that
     # vanish or repeat) exercise the geometric series and its cancellations.
     g, rels = case
-    p = GroupPresentation(tuple("x%d" % i for i in range(g)), tuple(Word.from_pairs(r) for r in rels))
+    p = GroupPresentation(tuple("x%d" % i for i in range(g)), rels)
     assert fox_matrix(p).entries == _reference_fox_matrix(p)
 
 
@@ -237,7 +312,7 @@ def _per_letter_fox(p, ab):
     for r in p.relators:
         row = [{} for _ in p.generators]
         prefix = (0,) * n
-        for gen, e in r.syllables:
+        for gen, e in r:
             img = ab.images[gen]
             acc = row[gen]
             after = tuple(u + e * x for u, x in zip(prefix, img))
@@ -259,7 +334,7 @@ def _long_syllable_cases(draw):
     g = draw(st.integers(1, 3))
     syllable = st.tuples(st.integers(0, g - 1), st.integers(-400, 400).filter(bool))
     rels = draw(st.lists(st.lists(syllable, min_size=1, max_size=5), min_size=1, max_size=3))
-    p = GroupPresentation(tuple("x%d" % i for i in range(g)), tuple(Word.from_pairs(r) for r in rels))
+    p = GroupPresentation(tuple("x%d" % i for i in range(g)), rels)
     if draw(st.booleans()):
         return p, None
     n = draw(st.integers(0, 3))

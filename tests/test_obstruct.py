@@ -5,8 +5,8 @@ import pytest
 
 from alexlab import alexinv
 from alexlab.alexinv import CharacterPoint
-from alexlab.errors import DomainError
-from alexlab.fpgroup import GroupPresentation, Word, fox_matrix, free_product
+from alexlab.errors import DomainError, LimitError
+from alexlab.fpgroup import GroupPresentation, fox_matrix, free_product
 from alexlab.laurent import LaurentPoly
 from alexlab.obstruct import (
     CONSISTENT,
@@ -107,10 +107,7 @@ def test_qp_zero_order_passes():
 
 
 def _apply_generator_automorphism(p, perm, signs):
-    rels = tuple(
-        Word.from_pairs((perm[g], e * signs[g]) for g, e in r.syllables)
-        for r in p.relators
-    )
+    rels = tuple([(perm[g], e * signs[g]) for g, e in r] for r in p.relators)
     gens = tuple(p.generators[perm.index(i)] for i in range(len(p.generators)))
     return GroupPresentation(p.generators, rels)
 
@@ -141,6 +138,34 @@ def test_kmax_validation():
             with pytest.raises(DomainError):
                 alexinv.cv_dim(F, rho, kmax=kmax)
         assert alexinv.cv_dim(F, rho, kmax=0).memberships == ()
+
+
+def test_listing_bound_is_checked_before_any_work(monkeypatch):
+    top = alexinv.MAX_LISTED_K
+    p = TREFOIL.presentation
+    F = fox_matrix(p)
+    rho = CharacterPoint((Fraction(1, 6),))
+    assert len(qp_test(p, kmax=top).per_k) == top  # k0 = 1
+    assert len(alexinv.cv_dim(F, rho, kmax=top).memberships) == top
+
+    def no_work(*args):
+        raise AssertionError("work done before the listing bound was checked")
+
+    for name in ("first_order", "order_k", "reduction", "rank_over_fractions"):
+        monkeypatch.setattr(alexinv, name, no_work)
+    monkeypatch.setattr("alexlab.obstruct.fox_matrix", no_work)
+    monkeypatch.setattr("alexlab.obstruct.free_product_many", no_work)
+    for kmax in (top + 1, 10**6):
+        for run in (kahler_test, qp_test):
+            with pytest.raises(LimitError, match="kmax %d" % kmax):
+                run(p, kmax=kmax)
+        with pytest.raises(LimitError):
+            connected_sum_report([p, FIG8.presentation], kmax=kmax)
+        with pytest.raises(LimitError):
+            alexinv.order_sequence(F, kmax)
+        for rho in (CharacterPoint((Fraction(1, 6),)), CharacterPoint((Fraction(0),))):
+            with pytest.raises(LimitError):
+                alexinv.cv_dim(F, rho, kmax=kmax)
 
 
 def test_reported_orders_are_nonzero():

@@ -25,7 +25,7 @@ def test_public_classes_are_slotted_values():
     classes = [getattr(alexlab, name) for name in alexlab.__all__]
     classes = [c for c in classes if isinstance(c, type) and not issubclass(c, Exception)]
     values = [c for c in classes if c is not alexlab.LaurentPoly]
-    assert len(values) == 17
+    assert len(values) == 16
     for cls in values:
         assert issubclass(cls, Value), cls
         assert not hasattr(cls.__new__(cls), "__dict__"), cls
