@@ -15,12 +15,28 @@ does.  Ranks add over the blocks, Delta^{k0} is the product of the blocks'
 first orders, and Delta^k above k0 is the gcd over k_1 + .. + k_n = k of
 the products of the blocks' Delta^{k_b}, since gcd(I J) = gcd(I) gcd(J) in
 the UFD Z[H].
+
+A block of r rows and r + 1 columns of rank r needs one maximal minor for
+both its rank and Delta_b^1, by Fox's fundamental formula (Crowell & Fox,
+ch. VII): w - 1 = sum_c (dw/dx_c)(x_c - 1) in Z[F], and a relator w maps
+to 1 in H, so every row of the Fox matrix satisfies
+sum_c F_rc (x_c - 1) = 0, x_c the image of the c-th generator.  Clearing
+a unit pivot keeps that identity on the rows left, over the columns left:
+row r less F_rj u^-1 times the pivot row i loses its column-j term, since
+the pivot row's own identity has u (x_j - 1) there.  A block keeps it, as
+its rows are zero off its columns.  So (x_c - 1)_c lies in the block's
+kernel over Frac Z[H]; at rank r that kernel is spanned by the signed
+maximal minors mu_c, whence mu_c (x_p - 1) = +-mu_p (x_c - 1) for any
+column p.  With x_p != 1, mu_p != 0 exactly when the rank is r, and
+gcd_c mu_c = mu_p gcd_c (x_c - 1) / (x_p - 1) (`_fox_order`), with no gcd
+call and no elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd as igcd
 
 from . import exactla, laurent
 from ._value import Value
@@ -83,18 +99,29 @@ class CvReport(Value):
 class _Block:
     """One diagonal block M_b of a `FoxReduction`: rows and columns of the
     shared reduced matrix, with its rank over Frac Z[H] and its orders
-    Delta_b^j (gcd of the (s_b - j)-minors) memoized as they are asked for."""
+    Delta_b^j (gcd of the (s_b - j)-minors) memoized as they are asked for.
 
-    def __init__(self, entries, nvars: int, rows, cols):
+    `images`, when given, holds the abelianized image in Z^b1 of each
+    column's generator, indexed as the columns of `entries` are.  A block
+    of r >= 1 rows and r + 1 columns with a nonzero image then reads its
+    rank and Delta_b^1 off one maximal minor (`_fox_minor`)."""
+
+    def __init__(self, entries, nvars: int, rows, cols, images=None):
         self.entries, self.nvars = entries, nvars
         self.rows, self.cols = rows, cols
+        self.images = images
         self._rank = None
+        self._minor = None  # (p, mu_p) when the rank came from one minor
         self._orders: dict[int, LaurentPoly] = {}
 
     def rank(self) -> int:
         if self._rank is None:
-            sub = [[self.entries[i][j] for j in self.cols] for i in self.rows]
-            self._rank = _frac_rank(sub)
+            self._minor = _fox_minor(self)
+            if self._minor is not None:
+                self._rank = len(self.rows)
+            else:
+                sub = [[self.entries[i][j] for j in self.cols] for i in self.rows]
+                self._rank = _frac_rank(sub)
         return self._rank
 
     def k0(self) -> int:
@@ -103,13 +130,16 @@ class _Block:
     def order(self, j: int) -> LaurentPoly:
         """Delta_b^j for j >= k0, the gcd accumulator seeded with the
         memoized Delta_b^{j-1}: every (s_b - j + 1)-minor lies in the ideal
-        of the (s_b - j)-minors, so Delta_b^j divides Delta_b^{j-1}."""
+        of the (s_b - j)-minors, so Delta_b^j divides Delta_b^{j-1}.  When
+        the rank came from one minor, Delta_b^1 is `_fox_order` of it."""
         g = self._orders.get(j)
         if g is None:
             seed = self._orders.get(j - 1, LaurentPoly.zero(self.nvars))
             size = len(self.cols) - j
             if size <= 0:
                 g = LaurentPoly.one(self.nvars)
+            elif j == 1 and self._minor is not None:
+                g = _fox_order(self)
             else:
                 g = _minors_gcd(self.entries, self.rows, self.cols, size, seed)
             self._orders[j] = g
@@ -173,6 +203,7 @@ def _reduce(F: FoxMatrix) -> FoxReduction:
             _clear_unit(entries, i, j, row_nz, col_nz, units)
             live_cols.discard(j)
     pivots = F.cols - len(live_cols)
+    images = F.abelianization.images
     col_rows: dict[int, list[int]] = {j: [] for j in sorted(live_cols)}
     for i, js in enumerate(row_nz):
         for j in js:
@@ -191,7 +222,7 @@ def _reduce(F: FoxMatrix) -> FoxReduction:
                     seen |= fresh
                     cols += fresh
                     stack += fresh
-        blocks.append(_Block(entries, F.nvars, tuple(sorted(rows)), tuple(sorted(cols))))
+        blocks.append(_Block(entries, F.nvars, tuple(sorted(rows)), tuple(sorted(cols)), images))
     return FoxReduction(pivots, tuple(blocks))
 
 
@@ -273,6 +304,63 @@ def _minors_gcd(entries, rows, cols, size: int, g: LaurentPoly) -> LaurentPoly:
             if g == one:
                 return g
     return g.canonical()
+
+
+def _fox_minor(b: _Block):
+    """(p, mu_p) for a block of r >= 1 rows and r + 1 columns: p the column
+    of least l1 norm among those with a nonzero image, mu_p the maximal
+    minor on the other columns, when it is nonzero; then the block has
+    rank r.  None for any other shape, when every image is 0 or absent, or
+    when mu_p = 0 (the rank is then below r, and `_frac_rank` finds it).
+
+    By Fox's fundamental formula, sum_c F_rc (x_c - 1) = 0 on every row of
+    the Fox matrix, and on every row of a block (see the module
+    docstring).  So the column vector (x_c - 1) lies in the kernel of the
+    block, which for rank r is spanned by the signed maximal minors; with
+    x_p != 1, mu_p != 0 exactly when the rank is r."""
+    rows, cols, images = b.rows, b.cols, b.images
+    if images is None or not rows or len(cols) != len(rows) + 1:
+        return None
+    nonzero = [(sum(map(abs, images[c])), i) for i, c in enumerate(cols) if any(images[c])]
+    if not nonzero:
+        return None
+    p = min(nonzero)[1]
+    mu = _minor_det(b.entries, rows, cols[:p] + cols[p + 1 :])
+    return None if mu.is_zero() else (cols[p], mu)
+
+
+def _fox_order(b: _Block) -> LaurentPoly:
+    """Delta_b^1 of a block whose rank r came from `_fox_minor`: the gcd of
+    its maximal minors mu_c, read off the one minor mu_p.
+
+    The kernel relation gives mu_c (x_p - 1) = +-mu_p (x_c - 1) for every
+    column c, so gcd_c mu_c = mu_p g / (x_p - 1) up to a unit, with g =
+    gcd_c (x_c - 1).  For x_c = t^a, a = j w with w primitive, t^a - 1 is
+    the product of the Phi_d(t^w) over d | j, each irreducible in Z[H], and
+    those of non-parallel w are not associate.  So g = t^(k w) - 1 when
+    every nonzero image is a multiple j_c w of one primitive w (k the gcd
+    of the j_c), and g = 1 otherwise; the quotient h = (x_p - 1) / g is
+    then 1 + t^(k w) + .. + t^((j_p/k - 1) k w), or x_p - 1 itself.  When h
+    is a unit (j_p = k, e.g. a 1 x 2 block whose two images agree up to
+    sign), Delta_b^1 is mu_p itself and nothing is divided."""
+    p, mu = b._minor
+    nvars, a = b.nvars, b.images[p]
+    content = igcd(*a)
+    w = [x // content for x in a]
+    i = next(i for i, x in enumerate(w) if x)
+    k = content
+    for y in map(b.images.__getitem__, b.cols):
+        if not any(y):
+            continue
+        j = y[i] // w[i]
+        if any(j * x != v for x, v in zip(w, y)):
+            h = LaurentPoly(nvars, [(a, 1), ((0,) * nvars, -1)])
+            return _exact_div(mu, h).canonical()
+        k = igcd(k, j)
+    if k == content:
+        return mu.canonical()
+    h = LaurentPoly._from_runs(nvars, [((0,) * nvars, [k * x for x in w], content // k, 1)])
+    return _exact_div(mu, h).canonical()
 
 
 def _exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
@@ -417,13 +505,16 @@ def _character_rank(b: _Block, rho: CharacterPoint) -> int:
 
     A block with at most one row or column has rank 1 exactly when some
     entry is nonzero at zeta_m, so it is read off entry by entry, up to the
-    first nonzero residue, with no lift and no elimination.
+    first entry that `laurent._vanishes_at_character` finds nonzero there,
+    with no residue, no lift and no elimination.
     """
     m, nums = rho.order, rho.numerators
-    residue = laurent._cyclotomic_residue
     if len(b.rows) <= 1 or len(b.cols) <= 1:
+        shifts = [m // q for q in laurent._prime_factors(m)]
+        vanishes = laurent._vanishes_at_character
         entries = (b.entries[i][j] for i in b.rows for j in b.cols)
-        return int(any(not e.is_zero() and any(residue(e, nums, m)) for e in entries))
+        return int(any(not e.is_zero() and not vanishes(e, nums, m, shifts) for e in entries))
+    residue = laurent._cyclotomic_residue
     phi = laurent.euler_phi(m)
 
     def size(e: LaurentPoly):

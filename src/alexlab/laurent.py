@@ -48,7 +48,7 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import chain
 from math import gcd as igcd, isqrt, prod
-from operator import add, sub
+from operator import add, mul, sub
 
 from ._value import Value
 from .errors import DomainError, LimitError, limit_from_env
@@ -755,9 +755,13 @@ def line_support(p: LaurentPoly) -> UnivariateForm | None:
     the first difference from the first support point, and every support
     point must be that point plus an integer multiple of h, else the
     Newton polytope has dimension at least 2.  A point gives the direction
-    (1, 0, .., 0) and a constant."""
+    (1, 0, .., 0) and a constant.  A univariate p gives (1,) and p shifted
+    to least exponent 0, read off its keys with no decoding."""
     if p.is_zero():
         raise DomainError("line_support of the zero polynomial")
+    if p.nvars == 1:  # the keys are the exponents: shift them by the least
+        low = p._items[0][0]
+        return UnivariateForm((1,), _poly(1, tuple((k - low, c) for k, c in p._items)))
     pts = p.support()
     if len(pts) == 1:
         direction = tuple(1 if i == 0 else 0 for i in range(p.nvars))
@@ -1009,6 +1013,40 @@ def _cyclotomic_residue(p: LaurentPoly, nums, m: int) -> list[int]:
     for e, c in p.terms:
         coeffs[sum(ei * ai for ei, ai in zip(e, nums)) % m] += c
     return _divmod(coeffs, _cyclotomic_coeffs(m))[1]
+
+
+def _vanishes_at_character(p: LaurentPoly, nums, m: int, shifts) -> bool:
+    """Whether p(zeta_m^(a_1), .., zeta_m^(a_n)) = 0, for the numerators
+    `nums` and `shifts` the m/q over the primes q dividing m.
+
+    Q[t]/(t^m - 1) is the product of the fields Q[t]/Phi_d over d | m, and
+    P = prod_q (t^(m/q) - 1) is nonzero at zeta_m (zeta_m^(m/q) has order
+    q) but zero at every zeta_d for d a proper divisor of m, which divides
+    some m/q.  So p, its exponents folded mod m by the numerators, vanishes
+    at zeta_m exactly when its product with P mod t^m - 1 is 0: a sparse
+    product of at most 2^len(shifts) times p's terms, with no dense list
+    of m coefficients and no division by Phi_m."""
+    f: dict = {}
+    get = f.get
+    if p.nvars == 1:
+        (a,) = nums
+        for k, c in p._items:
+            e = k * a % m
+            f[e] = get(e, 0) + c
+    else:
+        for e, c in p.terms:
+            e = sum(map(mul, e, nums)) % m
+            f[e] = get(e, 0) + c
+    for s in shifts:
+        g: dict = {}
+        get = g.get
+        for e, c in f.items():
+            if c:
+                g[e] = get(e, 0) - c
+                e = (e + s) % m
+                g[e] = get(e, 0) + c
+        f = g
+    return not any(f.values())
 
 
 def evaluate_at_character(p: LaurentPoly, rho) -> tuple[int, ...]:

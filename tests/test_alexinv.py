@@ -1,4 +1,7 @@
+import math
+import pathlib
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -30,6 +33,7 @@ from cyclo_ref import Cyclo
 
 T = LaurentPoly.variable(1, 0)
 ONE = LaurentPoly.one(1)
+ONE_2 = LaurentPoly.one(2)
 
 
 def test_order_k_trefoil():
@@ -798,8 +802,14 @@ def test_reduction_runs_once_per_fox_matrix(monkeypatch):
 
 
 def test_kahler_then_qp_compute_each_rank_and_order_once(monkeypatch):
-    ranks, orders = [], []
-    frac_rank, order = alexinv._frac_rank, alexinv._order_k
+    # Every block's rank starts at `_fox_minor`, once, and goes on to
+    # `_frac_rank` exactly when that gives no minor.
+    minors, ranks, orders = [], [], []
+    fox_minor, frac_rank, order = alexinv._fox_minor, alexinv._frac_rank, alexinv._order_k
+
+    def counted_minor(b):
+        minors.append(fox_minor(b))
+        return minors[-1]
 
     def counted_rank(m):
         ranks.append(m)
@@ -809,15 +819,17 @@ def test_kahler_then_qp_compute_each_rank_and_order_once(monkeypatch):
         orders.append(k)
         return order(R, k, nvars)
 
+    monkeypatch.setattr(alexinv, "_fox_minor", counted_minor)
     monkeypatch.setattr(alexinv, "_frac_rank", counted_rank)
     monkeypatch.setattr(alexinv, "_order_k", counted_order)
     for entry in ALL:
         p = _fresh(entry.presentation)
-        del ranks[:], orders[:]
+        del minors[:], ranks[:], orders[:]
         k0 = obstruct.kahler_test(p).k0
         obstruct.qp_test(p)
         R = alexinv.reduction(fox_matrix(p))
-        assert len(ranks) == len(R.blocks), entry.name
+        assert len(minors) == len(R.blocks), entry.name
+        assert len(ranks) == minors.count(None), entry.name
         assert orders == list(range(k0, max(k0, obstruct.DEFAULT_KMAX) + 1)), entry.name
 
 
@@ -843,3 +855,115 @@ def test_kahler_qp_and_sum_take_each_newton_dim_once(monkeypatch):
         rep = obstruct.connected_sum_report(ps)
         qp_ks = max(rep.qp.k0, obstruct.DEFAULT_KMAX) + 1 - rep.qp.k0
         assert len(dims) == qp_ks, (a.name, b.name)
+
+
+# -- one maximal minor per deficiency-one block -------------------------------------
+
+
+def _orders_pool():
+    """The presentations of the seed-0 `orders_multivar` pool (bench/workloads.py)."""
+    bench = str(pathlib.Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return [parse_presentation(r["spec"]["fp"]) for r in workloads.orders_pool(0)]
+
+
+# Rank-deficient deficiency-one blocks: w w has the Fox row 2 (dw/dx), and
+# every dw/dx here is a non-unit, so no pivot hides the dependence.  The
+# third has a column of image 0 and keeps rank 2 of 3 columns.
+DEFICIENT_FP = (
+    "gens a b c\nrel a^2 b^2 c^2\nrel a^2 b^2 c^2 a^2 b^2 c^2\n",
+    "gens a b c d\nrel a^2 b^-2 c^2 d^2\nrel a^2 b^-2 c^2 d^2 a^2 b^-2 c^2 d^2\nrel c^2 d^-2 c^-2 d^2\n",
+)
+ZERO_COLUMN_FP = (
+    "gens x0 x1 x2\nrel x1^-3\nrel x2^2 x1^-2 x0 x2^2 x0\n",
+    "gens x0 x1 x2\nrel x0^-2 x1^2 x0^2\nrel x1^2 x2^2 x0^2\n",
+)
+
+
+def _fox_block_paths(F) -> list[str]:
+    """Assert on every block of F's reduction with r >= 1 rows and r + 1
+    columns that the rank is `_frac_rank`'s and Delta_b^1 the gcd of all
+    maximal minors, and name the path each took: the one-minor path with
+    a unit divisor, a geometric series or a binomial x_p - 1 (the images
+    not parallel), with a column of image 0 too, or today's path for a
+    rank-deficient block or one whose images are all 0."""
+    paths = []
+    for b in alexinv.reduction(F).blocks:
+        r = len(b.rows)
+        if not r or len(b.cols) != r + 1:
+            continue
+        rank = alexinv._frac_rank([[b.entries[i][j] for j in b.cols] for i in b.rows])
+        minor = alexinv._fox_minor(b)
+        assert b.rank() == rank, (F, b.rows, b.cols)
+        images = [b.images[c] for c in b.cols]
+        if not any(map(any, images)) or rank < r:
+            assert minor is None
+            paths.append("all images 0" if rank == r else "rank-deficient")
+            continue
+        assert minor is not None
+        want = alexinv._minors_gcd(b.entries, b.rows, b.cols, r, LaurentPoly.zero(b.nvars))
+        assert b.order(1) == want == alexinv._fox_order(b), (F, b.rows, b.cols)
+        direction = {tuple(x // math.gcd(*y) for x in y) for y in images if any(y)}
+        multiples = [math.gcd(*y) for y in images if any(y)]
+        if len({tuple(abs(x) for x in d) for d in direction}) > 1:
+            paths.append("binomial")
+        elif min(multiples) != math.gcd(*multiples):
+            paths.append("geometric")
+        else:
+            paths.append("unit")
+        if not all(map(any, images)):
+            paths.append("image 0")
+    return paths
+
+
+def test_one_minor_order_and_rank_match_all_minors_on_corpus_sums_and_pool():
+    groups = [e.presentation for e in ALL]
+    groups += [free_product(a.presentation, b.presentation) for a, b in SUM_PAIRS]
+    groups += [parse_presentation(t) for t in DEFICIENT_FP + ZERO_COLUMN_FP]
+    groups += _orders_pool()
+    paths = []
+    for p in groups:
+        paths += _fox_block_paths(fox_matrix(_fresh(p)))
+    counts = {k: paths.count(k) for k in ("unit", "geometric", "binomial", "image 0", "rank-deficient")}
+    assert min(counts.values()) >= 2, counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(_presentations(), st.booleans())
+def test_one_minor_order_and_rank_match_all_minors_on_random_presentations(p, square):
+    # With `square`, the first relator is repeated as its square, whose Fox
+    # row is twice its own: a rank-deficient block unless a pivot clears it.
+    if square and p.relators:
+        p = GroupPresentation(p.generators, p.relators + (p.relators[0] * 2,))
+    F = fox_matrix(p)
+    if F.nvars <= 3:
+        _fox_block_paths(F)
+
+
+def test_block_with_all_images_zero_takes_the_elimination():
+    # The kernel relation says nothing when every x_c is 1: no minor is
+    # read, and the rank and Delta_b^1 come from `_frac_rank` and the gcd.
+    x, y = LaurentPoly.variable(2, 0), LaurentPoly.variable(2, 1)
+    rows = [[x + y + y, x - ONE_2, y * y + x]]
+    b = alexinv._Block(rows, 2, (0,), (0, 1, 2), ((0, 0), (0, 0), (0, 0)))
+    assert alexinv._fox_minor(b) is None
+    assert b.rank() == 1 and b.order(2) == LaurentPoly.one(2)
+    assert alexinv._Block(rows, 2, (0,), (0, 1, 2)).rank() == 1  # no images given
+
+
+def test_delta_with_equal_images_takes_no_gcd(monkeypatch):
+    # A 1 x 2 block whose images agree: Delta is the other entry, canonical,
+    # with no gcd, no division and no elimination.  The braid trefoil and
+    # the `delta` requests of the benchmark's cli_sidepaths pool.
+    texts = ("gens a b\nrel a b a b^-1 a^-1 b^-1\n", "gens a b\nrel a^5 b^-5\n")
+    want = [_reference_order_k(fox_matrix(parse_presentation(t)), 1) for t in texts]
+    gcds, divisions = _count_calls(monkeypatch, "gcd"), _count_calls(monkeypatch, "exact_div")
+    monkeypatch.setattr(exactla, "bareiss", None)
+    got = [first_order(fox_matrix(parse_presentation(t))) for t in texts]
+    assert got == [(1, d) for d in want]
+    assert want[0] == T * T - T + ONE
+    assert gcds == divisions == []

@@ -470,14 +470,26 @@ def test_emit_refuses_what_json_cannot_write():
             cli._emit(value)
 
 
-def test_limit_exit_code(capsys, trefoil_file, monkeypatch):
+# One relator in three generators: a 1 x 3 block of rank 1, whose Delta^1
+# comes from one minor with no gcd, but whose Delta^2 is a gcd of entries.
+GCD_FP = "gens a b c\nrel a^2 b^-3 c^2 b\n"
+
+
+@pytest.fixture
+def gcd_file(tmp_path):
+    f = tmp_path / "gcd.fp"
+    f.write_text(GCD_FP)
+    return str(f)
+
+
+def test_limit_exit_code(capsys, gcd_file, monkeypatch):
     monkeypatch.setenv("ALEXLAB_MAX_VARS", "0")
-    code, out, err = run_cli(capsys, "delta", trefoil_file, "--k", "1")
+    code, out, err = run_cli(capsys, "delta", gcd_file, "--k", "2")
     assert code == 2
     assert "limit" in err.lower()
 
 
-def test_gcd_cap_exit_code(capsys, trefoil_file, monkeypatch):
+def test_gcd_cap_exit_code(capsys, gcd_file, monkeypatch):
     # A gcd whose candidates never pass the division check stops at the cap
     # on its evaluation points: exit 2, not an internal error or a hang.
     # Keys as in `laurent._heu_gcd`: the lift of the constant slice (key 0)
@@ -487,7 +499,7 @@ def test_gcd_cap_exit_code(capsys, trefoil_file, monkeypatch):
 
     monkeypatch.setattr(laurent, "_lift_last", non_divisor)
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "delta", trefoil_file, "--k", "1")
+    code, out, err = run_cli(capsys, "delta", gcd_file, "--k", "2")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith("limit exceeded: ")

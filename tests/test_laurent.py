@@ -722,6 +722,20 @@ def test_line_support_is_none_exactly_above_dimension_one():
     assert min(seen.values()) >= 50, seen
 
 
+def test_univariate_line_support_equals_the_general_path():
+    # The keys shifted by the least key, against the tuple path of the same
+    # polynomial in t1 with t2 set to a fixed power: one term included.
+    rng = random.Random(1)
+    for t in range(200):
+        p = random_poly(rng, 1, max_terms=1 if t % 4 == 0 else 6, max_exp=12)
+        p = p * LaurentPoly.monomial(1, (rng.randint(-20, 20),))
+        lifted = laurent.apply_exponent_map(p, [[1], [0]], 2) * LaurentPoly.monomial(2, (0, t % 5))
+        uf, general = laurent.line_support(p), laurent.line_support(lifted)
+        assert uf.direction == (1,) and general.direction == (1, 0)
+        assert uf.poly == general.poly, p
+    assert laurent.line_support(C(1, -4)) == laurent.UnivariateForm((1,), C(1, -4))
+
+
 def test_line_support_takes_no_newton_dim(monkeypatch):
     calls = []
     monkeypatch.setattr(laurent, "newton_dim", lambda p: calls.append(p))
@@ -1056,6 +1070,52 @@ def test_evaluate_examples():
     # t1^3 t2^4 at (1/5, 7/5) is zeta^(3 + 28) = zeta
     mono = LaurentPoly.monomial(2, (3, 4))
     assert laurent.evaluate_at_character(mono, [Fraction(1, 5), Fraction(7, 5)]) == (0, 1, 0, 0)
+
+
+def _vanishing_poly(rng, nv, nums, m) -> LaurentPoly:
+    """A polynomial zero at the character nums/m: a sum of random multiples
+    of x_i^d - 1 and Phi_d(x_i), d the order of zeta_m^(a_i)."""
+    out = LaurentPoly.zero(nv)
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(nv)
+        d = m // gcd(m, nums[i])
+        if rng.random() < 0.5:
+            f = LaurentPoly.monomial(nv, [d if j == i else 0 for j in range(nv)]) - C(nv, 1)
+        else:
+            rows = [[1 if j == i else 0] for j in range(nv)]
+            f = laurent.apply_exponent_map(laurent.cyclotomic_polynomial(d), rows, nv)
+        shift = LaurentPoly.monomial(nv, [rng.randint(-3, 3) for _ in range(nv)])
+        out = out + random_poly(rng, nv, max_terms=4) * f * shift
+    return out
+
+
+@pytest.mark.parametrize("m", (5, 7, 60, 210, 600, 2310))
+def test_vanishes_at_character_matches_the_residue(m):
+    # The sparse zero test against the residue mod Phi_m: random entries,
+    # which almost never vanish, and sums of multiples of factors that do,
+    # some with one term added; Laurent shifts and one to three variables.
+    # The residue's dense division takes about 50 ms at m = 2310, hence
+    # fewer draws there.
+    rng = random.Random(m)
+    shifts = [m // q for q in laurent._prime_factors(m)]
+    seen = {True: 0, False: 0}
+    draws = 45 if m > 1000 else 120
+    for t in range(draws):
+        nv = rng.randint(1, 3)
+        nums = [rng.randrange(m) for _ in range(nv)]
+        if t % 3 == 0:
+            p = random_poly(rng, nv, max_terms=7, max_exp=9)
+            p = p * LaurentPoly.monomial(nv, [rng.randint(-9, 0) for _ in range(nv)])
+        else:
+            p = _vanishing_poly(rng, nv, nums, m)
+            if t % 3 == 2:
+                p = p + LaurentPoly.monomial(nv, [rng.randint(-4, 4) for _ in range(nv)])
+        if p.is_zero():
+            continue
+        want = not any(laurent._cyclotomic_residue(p, nums, m))
+        assert laurent._vanishes_at_character(p, nums, m, shifts) == want, (p, nums, m)
+        seen[want] += 1
+    assert min(seen.values()) >= draws // 4, seen
 
 
 def test_evaluate_is_multiplicative():
